@@ -9,9 +9,7 @@ and ships naive brute-force oracles to validate everything against.
 
 from .arches import (
     ArchFactorization,
-    RankContext,
     arch_factorize,
-    build_rank_context,
     is_k_universal,
     universality_index,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "InvalidK",
     "LengthMismatch",
     "ParseError",
-    "RankContext",
     "RankOutOfRange",
     "RankResult",
     "SuffixCountTable",
@@ -54,7 +51,6 @@ __all__ = [
     "UniversalWordsError",
     "Word",
     "arch_factorize",
-    "build_rank_context",
     "build_table",
     "count_arches",
     "count_index_zero",

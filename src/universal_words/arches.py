@@ -1,4 +1,4 @@
-"""Greedy arch factorization and the per-position preprocessing used by ranking.
+"""Greedy arch factorization and the universality index it yields.
 
 An arch is a shortest factor that contains every alphabet symbol: scanning left
 to right, it closes at the position where the last missing symbol first shows
@@ -28,24 +28,6 @@ class ArchFactorization:
         """(start, end) of each arch, 1-based inclusive."""
         ends = list(self.arch_starts[1:]) + [self.suffix_start]
         return [(s, e - 1) for s, e in zip(self.arch_starts, ends)]
-
-
-@dataclass(frozen=True)
-class RankContext:
-    """Per-position data for rank computations over one word.
-
-    All three arrays are indexed by position (entry i - 1 describes position i).
-    delta restarts at every arch start and at the residual start;
-    arch_prefix_sets holds the matching symbol bitmasks (bit s = symbol s).
-    free_suffix[i - 1] counts the free positions in w[i, n]: positions that no
-    first-k-arch universal subsequence passes through.
-    """
-
-    factorization: ArchFactorization
-    delta: tuple[int, ...]
-    free_suffix: tuple[int, ...]
-    arch_prefix_sets: tuple[int, ...]
-    k: int
 
 
 def arch_factorize(w: Word) -> ArchFactorization:
@@ -85,48 +67,3 @@ def is_k_universal(w: Word, k: int) -> bool:
     if k < 0:
         raise InvalidK(f"k must be nonnegative, got {k}")
     return k == 0 or universality_index(w) >= k
-
-
-def build_rank_context(w: Word, k: int) -> RankContext:
-    """Precompute the per-position arrays for ranking w against target k."""
-    if k < 1:
-        raise InvalidK(f"rank context requires k >= 1, got {k}")
-    fact = arch_factorize(w)
-    n = fact.source_length
-    syms = w.symbols
-    region_starts = list(fact.arch_starts)
-    if fact.suffix_start <= n and fact.suffix_start not in region_starts:
-        region_starts.append(fact.suffix_start)
-
-    delta = [0] * n
-    masks = [0] * n
-    free_flag = [False] * n
-    ri = 0
-    region_no = 0  # regions 1..arch_count are arches, the next one is the residual
-    cur_mask = 0
-    cur_d = 0
-    for i in range(1, n + 1):
-        if ri < len(region_starts) and i == region_starts[ri]:
-            cur_mask = 0
-            cur_d = 0
-            ri += 1
-            region_no = ri
-        bit = 1 << syms[i - 1]
-        if cur_mask & bit:
-            fresh = False
-        else:
-            cur_mask |= bit
-            cur_d += 1
-            fresh = True
-        delta[i - 1] = cur_d
-        masks[i - 1] = cur_mask
-        # positions past the k-th arch, and repeats inside an arch, are free
-        free_flag[i - 1] = region_no > fact.arch_count or region_no > k or not fresh
-
-    free = [0] * n
-    acc = 0
-    for i in range(n, 0, -1):
-        if free_flag[i - 1]:
-            acc += 1
-        free[i - 1] = acc
-    return RankContext(fact, tuple(delta), tuple(free), tuple(masks), k)

@@ -17,30 +17,10 @@ from . import oracle
 from .arches import arch_factorize
 from .closed_forms import count_arches, count_index_zero, count_one_universal
 from .counting import build_table, count_universal
-from .errors import (
-    AlphabetMismatch,
-    EmptySet,
-    GuardExceeded,
-    InvalidK,
-    LengthMismatch,
-    ParseError,
-    RankOutOfRange,
-    SymbolOutOfRange,
-)
+from .errors import ParseError, UniversalWordsError
 from .ranking import rank
 from .unranking import enumerate_words, unrank
 from .words import format_word, make_word, parse_word
-
-_DOMAIN_ERRORS = (
-    SymbolOutOfRange,
-    RankOutOfRange,
-    EmptySet,
-    GuardExceeded,
-    InvalidK,
-    LengthMismatch,
-    AlphabetMismatch,
-    ValueError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,7 +242,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return 1
-    except _DOMAIN_ERRORS as err:
+    except UniversalWordsError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return 2
     except BrokenPipeError:

@@ -1,6 +1,6 @@
 """Suffix-completion counts and the exact size of the k-universal word set.
 
-The central object is a three-dimensional table over states (q, m, c):
+A suffix count is indexed by a state (q, m, c):
 
     q  distinct symbols already seen in the arch currently being built
        (q = 0: a fresh arch with nothing seen, q = sigma: the arch just closed),
@@ -10,34 +10,41 @@ The central object is a three-dimensional table over states (q, m, c):
 entry(q, m, c) is the number of words u of length m + (sigma - q) + sigma*(c - 1)
 (or plain length m when c = 0) that close at least c more arches when appended
 after such a partial arch. Which q symbols were seen does not matter, only how
-many; counts depend on the multiset sizes alone.
+many. With no arches owed every symbol is free, entry(q, m, 0) = sigma**m; a
+closed arch opens a fresh one, entry(sigma, m, c) = entry(0, m, c - 1); and for
+q < sigma a repeated symbol burns one free slot while a new one grows the arch:
 
-Transitions, for c >= 1 and m >= 1:
+    entry(q, m, c) = (sigma - q) * entry(q + 1, m, c) + q * entry(q, m - 1, c)
 
-    entry(q, m, c) = q * entry(q, m - 1, c) + (sigma - q) * entry(q + 1, m, c)
+So the counts form one chain of rows: sigma**m first, then for c = 1..k the
+rows q = sigma - 1 down to 0, each one pass over the row before it. In
+generating-function terms every arch multiplies the series 1/(1 - sigma x) by
+sigma! x**sigma / prod_{i<sigma} (1 - i x). The zero-slack cells come out of
+the same pass as (sigma - q)! * (sigma!)**(c - 1).
 
-a repeated symbol burns one free slot, a new one grows the arch. The q = sigma
-column needs care: when the last owed arch closes, every remaining symbol is
-unconstrained, so entry(sigma, m, 1) = sigma**m; when earlier arches close the
-next symbol opens a fresh arch, entry(sigma, m, c) = entry(0, m, c - 1). With
-zero slack every position must introduce a new symbol, hence
-entry(q, 0, c) = (sigma - q)! * (sigma!)**(c - 1); with no arches owed,
-entry(q, m, 0) = sigma**m. The set of k-universal words of length n then has
-size entry(0, n - k*sigma, k), or 0 when n < k*sigma.
+Only slack m <= n - k*sigma is ever read when c >= 1: after i symbols with
+`completed` arches closed and q symbols open, i >= sigma*completed + q, so the
+slack n - i - sigma*(k - completed) + q of any completion is at most n - k*sigma.
+The chain rows for c >= 1 therefore stop there. The set of k-universal words
+of length n has size entry(0, n - k*sigma, k), or 0 when n < k*sigma.
 """
 
 from __future__ import annotations
 
-from .errors import IndexOutOfRange
+from typing import Iterator
+
+from .errors import AlphabetMismatch, IndexOutOfRange, InvalidK, LengthMismatch
 
 
 class SuffixCountTable:
-    """Bottom-up table of suffix-completion counts for fixed (n, k, sigma).
+    """The chain rows of suffix-completion counts for fixed (n, k, sigma).
 
-    Dimensions are (sigma + 1) x (n + 1) x (k + 1), indexed [q][m][c]; all
-    values are exact arbitrary-precision integers. ``lookups`` counts cell
-    reads made through lookup() and ``build_ops`` the cells evaluated during
-    construction; both are advisory instrumentation, not value state.
+    Rows are indexed [c][q][m]. [0][q] is sigma**m for m <= n and every q; for
+    c >= 1, [c][q] covers m <= n - k*sigma and [c][sigma] is the same list as
+    [c - 1][0]. Values are exact arbitrary-precision integers. ``lookups``
+    counts cell reads made through lookup() and ``build_ops`` the cells
+    evaluated during construction; both are advisory instrumentation, not
+    value state.
     """
 
     __slots__ = ("n", "k", "sigma", "_cells", "build_ops", "lookups")
@@ -55,84 +62,88 @@ class SuffixCountTable:
         self.lookups += 1
         if m < 0:
             return 0
-        return self._cells[q][m][c]
+        return self._cells[c][q][m]
 
     def __repr__(self) -> str:
         return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"
 
 
-def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
-    """Fill the whole (sigma + 1) x (n + 1) x (k + 1) table bottom-up."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> None:
+    """Reject negative n or k and sigma < 1, or a table built for other parameters."""
+    if table is not None:
+        if k != table.k:
+            raise InvalidK(f"table built for k={table.k}, queried with k={k}")
+        if n != table.n:
+            raise LengthMismatch(f"table built for length {table.n}, queried with length {n}")
+        if sigma != table.sigma:
+            raise AlphabetMismatch(
+                f"table built for sigma={table.sigma}, queried with sigma={sigma}"
+            )
+        return
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise InvalidK(f"k must be nonnegative, got {k}")
+    if n < 0:
+        raise LengthMismatch(f"length n must be nonnegative, got {n}")
     if sigma < 1:
-        raise ValueError(f"sigma must be at least 1, got {sigma}")
+        raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
 
-    fact = [1] * (sigma + 1)
-    for i in range(1, sigma + 1):
-        fact[i] = fact[i - 1] * i
-    arch_pows = [1] * (k + 1)  # (sigma!)**c
-    for c in range(1, k + 1):
-        arch_pows[c] = arch_pows[c - 1] * fact[sigma]
-    free_pows = [1] * (n + 1)  # sigma**m
+
+def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
+    """Yield sigma**m for m <= n, then the rows c = 1..k, q = sigma-1..0 over m <= n - k*sigma."""
+    row = [1] * (n + 1)
     for m in range(1, n + 1):
-        free_pows[m] = free_pows[m - 1] * sigma
+        row[m] = row[m - 1] * sigma
+    yield row
+    width = n - k * sigma + 1
+    for _ in range(k):
+        for q in range(sigma - 1, -1, -1):
+            grow = sigma - q
+            nxt = [0] * width
+            prev = 0
+            for m in range(width):
+                prev = grow * row[m] + q * prev
+                nxt[m] = prev
+            row = nxt
+            yield row
 
-    cells = [[[0] * (k + 1) for _ in range(n + 1)] for _ in range(sigma + 1)]
-    ops = 0
-    for q in range(sigma + 1):
-        rows = cells[q]
-        for m in range(n + 1):
-            rows[m][0] = free_pows[m]
-        ops += n + 1
-    for c in range(1, k + 1):
-        for q in range(sigma + 1):
-            cells[q][0][c] = fact[sigma - q] * arch_pows[c - 1]
-        ops += sigma + 1
-        closed = cells[sigma]
-        fresh = cells[0]
-        for m in range(1, n + 1):
-            closed[m][c] = free_pows[m] if c == 1 else fresh[m][c - 1]
-            ops += 1
-            above = closed[m]
-            for q in range(sigma - 1, -1, -1):
-                rows = cells[q]
-                rows[m][c] = q * rows[m - 1][c] + (sigma - q) * above[c]
-                above = rows[m]
-                ops += 1
+
+def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
+    """Keep every row of the chain, (n + 1) + k*sigma*(n - k*sigma + 1) cells."""
+    _check_params(n, k, sigma)
+    rows = _chain(n, k, sigma)
+    cells = [[next(rows)] * (sigma + 1)]
+    ops = n + 1
+    for _ in range(k):
+        layer = [None] * sigma + [cells[-1][0]]
+        for q in range(sigma - 1, -1, -1):
+            layer[q] = next(rows)
+            ops += len(layer[q])
+        cells.append(layer)
     return SuffixCountTable(n, k, sigma, cells, ops)
 
 
 def count_suffixes(table: SuffixCountTable, q: int, m: int, c: int) -> int:
-    """Validated read of entry (q, m, c)."""
+    """Validated read of entry (q, m, c); for c >= 1 only m <= n - k*sigma is stored."""
     if not 0 <= q <= table.sigma:
         raise IndexOutOfRange(f"q={q} outside [0, {table.sigma}]")
-    if not 0 <= m <= table.n:
-        raise IndexOutOfRange(f"m={m} outside [0, {table.n}]")
     if not 0 <= c <= table.k:
         raise IndexOutOfRange(f"c={c} outside [0, {table.k}]")
+    top = table.n if c == 0 else table.n - table.k * table.sigma
+    if not 0 <= m <= top:
+        raise IndexOutOfRange(f"m={m} outside [0, {top}] for c={c}")
     return table.lookup(q, m, c)
 
 
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:
-    """Exact number of k-universal words of length n over {1..sigma}."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if sigma < 1:
-        raise ValueError(f"sigma must be at least 1, got {sigma}")
+    """Exact number of k-universal words of length n over {1..sigma}.
+
+    Without a table only the current row of the chain is kept.
+    """
+    _check_params(n, k, sigma, table)
     if n < k * sigma:
         return 0
-    if table is None:
-        if k == 0:
-            return sigma**n
-        table = build_table(n, k, sigma)
-    elif (table.n, table.k, table.sigma) != (n, k, sigma):
-        raise ValueError(
-            f"table built for (n={table.n}, k={table.k}, sigma={table.sigma}), "
-            f"queried with (n={n}, k={k}, sigma={sigma})"
-        )
-    return table.lookup(0, n - k * sigma, k)
+    if table is not None:
+        return table.lookup(0, n - k * sigma, k)
+    for row in _chain(n, k, sigma):
+        pass
+    return row[n - k * sigma]

@@ -9,6 +9,7 @@ errors, not truncations.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from itertools import product
 
 from .errors import GuardExceeded, InvalidK
@@ -109,3 +110,27 @@ def brute_rank(w: Word, k: int) -> int:
     """Position where w sits (or would be inserted) in the enumerated set."""
     members = brute_enumerate(len(w.symbols), k, w.alphabet.sigma)
     return bisect_left([m.symbols for m in members], w.symbols)
+
+
+def brute_count(n: int, k: int, sigma: int) -> int:
+    """|U(n, k, sigma)| by a walk over (arches closed, open-arch symbol set) states.
+
+    The open arch is tracked as the bitmask of its symbols, not by their number,
+    so this does not rely on counts depending only on how many were seen. It
+    reaches lengths far beyond brute_enumerate: the work is n * (k + 1) * 2**sigma * sigma.
+    """
+    if n < 0 or k < 0 or sigma < 1:
+        raise ValueError(f"bad parameters n={n}, k={k}, sigma={sigma}")
+    full = (2 << sigma) - 2  # bits 1..sigma
+    states = {(0, 0): 1}  # (arches closed, capped at k; open-arch bitmask) -> words
+    for _ in range(n):
+        step: dict[tuple[int, int], int] = defaultdict(int)
+        for (closed, mask), ways in states.items():
+            if closed == k:
+                step[closed, mask] += ways * sigma
+                continue
+            for s in range(1, sigma + 1):
+                grown = mask | 1 << s
+                step[(closed + 1, 0) if grown == full else (closed, grown)] += ways
+        states = step
+    return sum(ways for (closed, _), ways in states.items() if closed == k)

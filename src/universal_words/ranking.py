@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import SuffixCountTable
-from .errors import AlphabetMismatch, InvalidK, LengthMismatch
+from .counting import SuffixCountTable, _check_params
 from .words import Word
 
 
@@ -27,18 +26,9 @@ class RankResult:
 
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     """0-based rank of w among the k-universal words of its length."""
-    if k < 0:
-        raise InvalidK(f"k must be nonnegative, got {k}")
-    if k != table.k:
-        raise InvalidK(f"table built for k={table.k}, rank queried with k={k}")
     n = len(w.symbols)
-    if n != table.n:
-        raise LengthMismatch(f"table built for length {table.n}, word has length {n}")
-    sigma = table.sigma
-    if w.alphabet.sigma != sigma:
-        raise AlphabetMismatch(
-            f"table built for sigma={sigma}, word uses sigma={w.alphabet.sigma}"
-        )
+    sigma = w.alphabet.sigma
+    _check_params(n, k, sigma, table)
 
     lookup = table.lookup
     syms = w.symbols

@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-from .counting import SuffixCountTable, build_table, count_universal
+from .counting import SuffixCountTable, _check_params, build_table, count_universal
 from .errors import EmptySet, RankOutOfRange
 from .words import Word, _alphabet
-
-
-def _check_table(table: SuffixCountTable, n: int, k: int, sigma: int) -> None:
-    if (table.n, table.k, table.sigma) != (n, k, sigma):
-        raise ValueError(
-            f"table built for (n={table.n}, k={table.k}, sigma={table.sigma}), "
-            f"queried with (n={n}, k={k}, sigma={sigma})"
-        )
 
 
 def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
@@ -24,8 +16,6 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     """
     if table is None:
         table = build_table(n, k, sigma)
-    else:
-        _check_table(table, n, k, sigma)
     total = count_universal(n, k, sigma, table)
     if total == 0:
         raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
@@ -190,5 +180,5 @@ def enumerate_words(
     if table is None:
         table = build_table(n, k, sigma)
     else:
-        _check_table(table, n, k, sigma)
+        _check_params(n, k, sigma, table)
     return EnumerationCursor(table, from_rank, limit)

@@ -86,26 +86,33 @@ def format_word(w: Word) -> str:
 
 
 def parse_word(text: str, sigma: int) -> Word:
-    """Inverse of format_word. Empty text parses to the empty word."""
+    """Inverse of format_word. Empty text parses to the empty word.
+
+    Only the ASCII digits 0-9 are accepted, never other Unicode digits.
+    """
     alphabet = _alphabet(sigma)
     if sigma <= 9:
         symbols = []
         for pos, ch in enumerate(text, 1):
-            if not ch.isdigit():
-                raise ParseError(pos, f"expected a digit, got {ch!r}")
-            value = int(ch)
+            value = ord(ch) - 48  # "0".."9" -> 0..9; every other character falls outside
             if not 1 <= value <= sigma:
+                if not 0 <= value <= 9:
+                    raise ParseError(pos, f"expected a digit, got {ch!r}")
                 raise SymbolOutOfRange(pos, value)
             symbols.append(value)
         return Word(tuple(symbols), alphabet)
     if text == "":
         return Word((), alphabet)
+    ascii_text = text.isascii()  # tokens need their own check only when it is not
     symbols = []
     offset = 1  # 1-based character position of the current token
     for token in text.split(","):
-        if not token.isdigit():
+        if not (token.isdigit() and (ascii_text or token.isascii())):
             raise ParseError(offset, f"expected a number, got {token!r}")
-        value = int(token)
+        try:
+            value = int(token)
+        except ValueError:  # longer than the interpreter's int-from-text limit
+            raise ParseError(offset, f"number of {len(token)} digits is too long") from None
         if not 1 <= value <= sigma:
             raise SymbolOutOfRange(len(symbols) + 1, value)
         symbols.append(value)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from universal_words import (
     InvalidK,
     arch_factorize,
-    build_rank_context,
     is_k_universal,
     make_word,
     parse_word,
@@ -111,65 +110,3 @@ def test_index_is_maximal(w):
     idx = universality_index(w)
     assert is_k_universal(w, idx)
     assert not is_k_universal(w, idx + 1)
-
-
-def test_rank_context_requires_positive_k():
-    with pytest.raises(InvalidK):
-        build_rank_context(FIG_W, 0)
-
-
-def test_rank_context_all_tight_word():
-    ctx = build_rank_context(parse_word("1212", 2), 2)
-    assert ctx.free_suffix == (0, 0, 0, 0)
-    assert ctx.delta == (1, 2, 1, 2)
-    assert ctx.arch_prefix_sets == (0b10, 0b110, 0b10, 0b110)
-
-
-def test_rank_context_first_arch_of_fixture():
-    ctx = build_rank_context(FIG_W, 4)
-    assert ctx.delta[:5] == (1, 1, 2, 3, 4)
-    # the duplicate 1 at position 2 is the only free spot of the first arch
-    assert ctx.free_suffix[0] == ctx.free_suffix[2] + 1
-
-
-def test_rank_context_counts_beyond_k_as_free():
-    ctx = build_rank_context(parse_word("1212", 2), 1)
-    assert ctx.free_suffix == (2, 2, 2, 1)
-
-
-def _recount_free(w, k):
-    # independent recount: universal-subsequence positions are the first
-    # occurrences inside each of the first k arches
-    f = arch_factorize(w)
-    pinned = set()
-    for arch_no, (s, e) in enumerate(f.arch_bounds(), 1):
-        if arch_no > k:
-            break
-        seen = set()
-        for i in range(s, e + 1):
-            if w.symbols[i - 1] not in seen:
-                seen.add(w.symbols[i - 1])
-                pinned.add(i)
-    n = len(w.symbols)
-    return tuple(
-        sum(1 for j in range(i, n + 1) if j not in pinned) for i in range(1, n + 1)
-    )
-
-
-@given(words(), st.integers(1, 8))
-def test_rank_context_free_suffix_recount(w, k):
-    ctx = build_rank_context(w, k)
-    assert ctx.free_suffix == _recount_free(w, k)
-
-
-@given(words(), st.integers(1, 8))
-def test_rank_context_delta_and_sets_agree(w, k):
-    ctx = build_rank_context(w, k)
-    n = len(w.symbols)
-    for i in range(n):
-        assert 1 <= ctx.delta[i] <= w.alphabet.sigma
-        assert ctx.arch_prefix_sets[i].bit_count() == ctx.delta[i]
-        if i:
-            assert ctx.free_suffix[i - 1] - ctx.free_suffix[i] in (0, 1)
-    for start in ctx.factorization.arch_starts:
-        assert ctx.delta[start - 1] == 1

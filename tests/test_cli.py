@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from universal_words import cli
 from universal_words.cli import main
 from universal_words.counting import count_universal
 
@@ -192,6 +193,23 @@ def test_parse_error_exits_1(capsys):
     code, _, err = run_cli(capsys, "rank", "--k", "1", "--sigma", "2", "12a")
     assert code == 1
     assert err.startswith("ParseError:")
+
+
+def test_non_ascii_digits_are_parse_errors(capsys):
+    for word in ("1\u00b23", "1\u06632"):
+        code, out, err = run_cli(capsys, "rank", "--k", "1", "--sigma", "3", word)
+        assert (code, out) == (1, "")
+        assert err.startswith("ParseError:")
+
+
+def test_plain_value_error_is_not_a_domain_error(capsys, monkeypatch):
+    # only the package's own errors map to exit 2; anything else is a bug
+    def broken(*args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "count_universal", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["count", "--n", "4", "--k", "2", "--sigma", "2"])
 
 
 def test_symbol_out_of_range_exits_2(capsys):

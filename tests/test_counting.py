@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from universal_words import (
+    AlphabetMismatch,
     IndexOutOfRange,
+    InvalidK,
+    LengthMismatch,
     build_table,
     count_suffixes,
     count_universal,
 )
-from universal_words.oracle import brute_enumerate
+from universal_words.oracle import brute_count, brute_enumerate
 
 
 def _completion_count(q, m, c, sigma):
@@ -61,15 +64,15 @@ def test_single_cells_against_direct_enumeration():
 )
 def test_cells_match_direct_enumeration(sigma, q, m, c):
     q = min(q, sigma - 1)  # closed-arch column checked via its identity below
-    length = m if c == 0 else m + (sigma - q) + sigma * (c - 1)
-    t = build_table(length, max(c, 1), sigma)
+    k = max(c, 1)
+    t = build_table(m + k * sigma, k, sigma)  # slack m is stored up to n - k*sigma
     assert count_suffixes(t, q, m, c) == _completion_count(q, m, c, sigma)
 
 
 def test_closed_arch_column_identities():
     for sigma in (1, 2, 3):
         for k in (1, 2, 3):
-            t = build_table(6, k, sigma)
+            t = build_table(6 + k * sigma, k, sigma)
             for m in range(7):
                 assert count_suffixes(t, sigma, m, 1) == sigma**m
                 for c in range(2, k + 1):
@@ -78,7 +81,7 @@ def test_closed_arch_column_identities():
 
 def test_fresh_arch_column_is_sigma_times_first():
     for sigma in (1, 2, 4):
-        t = build_table(5, 2, sigma)
+        t = build_table(5 + 2 * sigma, 2, sigma)
         for m in range(6):
             for c in range(1, 3):
                 assert count_suffixes(t, 0, m, c) == sigma * count_suffixes(t, 1, m, c)
@@ -112,6 +115,14 @@ def test_counts_match_oracle_small_grid():
                 assert count_universal(n, k, sigma) == len(brute_enumerate(n, k, sigma))
 
 
+def test_counts_match_state_walk_oracle_at_larger_n():
+    # beyond brute_enumerate's reach: every k up to n / sigma + 1
+    for sigma in range(1, 6):
+        for n in (17, 40, 63, 80):
+            for k in range(0, n // sigma + 2):
+                assert count_universal(n, k, sigma) == brute_count(n, k, sigma), (n, k, sigma)
+
+
 def test_count_monotone_in_k_and_bounded():
     for sigma in (2, 3):
         for n in range(0, 10):
@@ -123,8 +134,8 @@ def test_count_monotone_in_k_and_bounded():
 
 
 def test_rebuild_is_deterministic():
-    a = build_table(7, 2, 3)
-    b = build_table(7, 2, 3)
+    a = build_table(7 + 2 * 3, 2, 3)
+    b = build_table(7 + 2 * 3, 2, 3)
     for q in range(4):
         for m in range(8):
             for c in range(3):
@@ -138,16 +149,34 @@ def test_count_accepts_prebuilt_table_and_rejects_wrong_one():
         count_universal(5, 2, 2, t)
 
 
+def test_parameters_raise_typed_errors():
+    with pytest.raises(LengthMismatch):
+        build_table(-1, 1, 2)
+    with pytest.raises(InvalidK):
+        count_universal(4, -1, 2)
+    with pytest.raises(AlphabetMismatch):
+        count_universal(4, 1, 0)
+    t = build_table(6, 2, 2)
+    with pytest.raises(InvalidK):
+        count_universal(6, 1, 2, t)
+    with pytest.raises(AlphabetMismatch):
+        count_universal(6, 2, 3, t)
+
+
 def test_count_suffixes_validates_indices():
     t = build_table(4, 2, 2)
-    for bad in [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 5, 0), (0, 0, -1), (0, 0, 3)]:
+    bad_cells = [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 5, 0), (0, 0, -1), (0, 0, 3)]
+    # for c >= 1 only slack m <= n - k*sigma = 0 is stored
+    bad_cells += [(0, 1, 1), (2, 1, 2)]
+    for bad in bad_cells:
         with pytest.raises(IndexOutOfRange):
             count_suffixes(t, *bad)
 
 
 def test_instrumentation_counters():
     t = build_table(10, 2, 2)
-    assert t.build_ops == 3 * 11 * 3
+    # sigma**m for m <= 10, then k*sigma rows over slack m <= 10 - 2*2
+    assert t.build_ops == 11 + 2 * 2 * 7
     before = t.lookups
     count_suffixes(t, 0, 1, 1)
     assert t.lookups == before + 1

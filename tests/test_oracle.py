@@ -4,6 +4,7 @@ import pytest
 
 from universal_words import GuardExceeded, format_word, make_word, parse_word
 from universal_words.oracle import (
+    brute_count,
     brute_enumerate,
     brute_is_k_universal,
     brute_rank,
@@ -46,6 +47,13 @@ def test_enumerate_small_sets():
 def test_enumerate_is_sorted_and_distinct():
     members = [w.symbols for w in brute_enumerate(7, 2, 2)]
     assert members == sorted(set(members))
+
+
+def test_brute_count_matches_enumeration():
+    for sigma in (1, 2, 3):
+        for n in range(0, 9):
+            for k in range(0, n // sigma + 2):
+                assert brute_count(n, k, sigma) == len(brute_enumerate(n, k, sigma))
 
 
 def test_brute_rank_examples():

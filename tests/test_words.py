@@ -78,6 +78,24 @@ def test_parse_comma_mode_rejects_empty_token():
         parse_word("10,13", 12)
 
 
+def test_parse_accepts_ascii_digits_only():
+    # str.isdigit and int() also take superscripts and other scripts' digits
+    for text in ("1\u00b23", "1\u06632"):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, 3)
+        assert info.value.position == 2
+    for text in ("10,\u00b2", "10,\u0663,2", "10,\uff11"):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, 12)
+        assert info.value.position == 4
+
+
+def test_parse_comma_mode_rejects_overlong_number():
+    with pytest.raises(ParseError) as info:
+        parse_word("1," + "9" * 5000, 12)
+    assert info.value.position == 3
+
+
 def test_lex_compare_examples():
     assert lex_compare(parse_word("1221", 2), parse_word("2112", 2)) == -1
     assert lex_compare(parse_word("2112", 2), parse_word("1221", 2)) == 1
