@@ -236,7 +236,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # counts and ranks run to thousands of digits: lift the interpreter's
+    # int/str conversion limit (where it has one) while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(_build_parser().parse_args(argv))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ParseError as err:

@@ -88,10 +88,10 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
         raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
 
 
-def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
-    """Yield sigma**m for m <= n, then the rows c = 1..k, q = sigma-1..0 over m <= n - k*sigma."""
-    row = [1] * (n + 1)
-    for m in range(1, n + 1):
+def _chain(n: int, k: int, sigma: int, top: int) -> Iterator[list[int]]:
+    """Yield sigma**m for m <= top, then the rows c = 1..k, q = sigma-1..0 over m <= n - k*sigma."""
+    row = [1] * (top + 1)
+    for m in range(1, top + 1):
         row[m] = row[m - 1] * sigma
     yield row
     width = n - k * sigma + 1
@@ -110,7 +110,7 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     """Keep every row of the chain, (n + 1) + k*sigma*(n - k*sigma + 1) cells."""
     _check_params(n, k, sigma)
-    rows = _chain(n, k, sigma)
+    rows = _chain(n, k, sigma, n)
     cells = [[next(rows)] * (sigma + 1)]
     ops = n + 1
     for _ in range(k):
@@ -137,13 +137,16 @@ def count_suffixes(table: SuffixCountTable, q: int, m: int, c: int) -> int:
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:
     """Exact number of k-universal words of length n over {1..sigma}.
 
-    Without a table only the current row of the chain is kept.
+    Without a table only the current row of the chain is kept, and every row
+    stops at the slack n - k*sigma that the answer reads.
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
         return 0
     if table is not None:
         return table.lookup(0, n - k * sigma, k)
-    for row in _chain(n, k, sigma):
+    if k == 0:
+        return sigma**n
+    for row in _chain(n, k, sigma, n - k * sigma):
         pass
     return row[n - k * sigma]

@@ -88,7 +88,9 @@ def format_word(w: Word) -> str:
 def parse_word(text: str, sigma: int) -> Word:
     """Inverse of format_word. Empty text parses to the empty word.
 
-    Only the ASCII digits 0-9 are accepted, never other Unicode digits.
+    Only the ASCII digits 0-9 are accepted, never other Unicode digits. In
+    comma mode a number with more digits than sigma is a ParseError, so no
+    token is converted whatever its length.
     """
     alphabet = _alphabet(sigma)
     if sigma <= 9:
@@ -103,16 +105,15 @@ def parse_word(text: str, sigma: int) -> Word:
         return Word(tuple(symbols), alphabet)
     if text == "":
         return Word((), alphabet)
-    ascii_text = text.isascii()  # tokens need their own check only when it is not
+    width = len(str(sigma))
     symbols = []
     offset = 1  # 1-based character position of the current token
     for token in text.split(","):
-        if not (token.isdigit() and (ascii_text or token.isascii())):
+        if not (token.isascii() and token.isdigit()):
             raise ParseError(offset, f"expected a number, got {token!r}")
-        try:
-            value = int(token)
-        except ValueError:  # longer than the interpreter's int-from-text limit
-            raise ParseError(offset, f"number of {len(token)} digits is too long") from None
+        if len(token) > width and len(token.lstrip("0")) > width:
+            raise ParseError(offset, f"{len(token)}-digit number exceeds sigma={sigma}")
+        value = int(token)
         if not 1 <= value <= sigma:
             raise SymbolOutOfRange(len(symbols) + 1, value)
         symbols.append(value)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -210,6 +211,16 @@ def test_plain_value_error_is_not_a_domain_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_universal", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["count", "--n", "4", "--k", "2", "--sigma", "2"])
+
+
+def test_count_beyond_int_str_limit(capsys):
+    # about 10**5000, past the interpreter's default 4300-digit int/str limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "count", "--n", "5000", "--k", "1", "--sigma", "10")
+    assert (code, err) == (0, "")
+    assert len(out) == 5001 and out.endswith("\n")
+    assert Decimal(out) == count_universal(5000, 1, 10)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_symbol_out_of_range_exits_2(capsys):

@@ -13,6 +13,7 @@ from universal_words import (
     count_suffixes,
     count_universal,
 )
+from universal_words import counting
 from universal_words.oracle import brute_count, brute_enumerate
 
 
@@ -121,6 +122,22 @@ def test_counts_match_state_walk_oracle_at_larger_n():
         for n in (17, 40, 63, 80):
             for k in range(0, n // sigma + 2):
                 assert count_universal(n, k, sigma) == brute_count(n, k, sigma), (n, k, sigma)
+
+
+def test_table_free_count_computes_no_unread_powers(monkeypatch):
+    # sigma**m for m up to n costs O(n**2) bits; a count reads m <= n - k*sigma only
+    tops = []
+    chain = counting._chain
+
+    def recording(n, k, sigma, top):
+        tops.append(top)
+        return chain(n, k, sigma, top)
+
+    monkeypatch.setattr(counting, "_chain", recording)
+    assert count_universal(10**6, 0, 2) == 1 << 10**6
+    assert tops == []
+    assert count_universal(40, 3, 4) == brute_count(40, 3, 4)
+    assert tops == [40 - 3 * 4]
 
 
 def test_count_monotone_in_k_and_bounded():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,9 +93,22 @@ def test_parse_accepts_ascii_digits_only():
 
 
 def test_parse_comma_mode_rejects_overlong_number():
-    with pytest.raises(ParseError) as info:
-        parse_word("1," + "9" * 5000, 12)
-    assert info.value.position == 3
+    # decided by the digits of sigma, not by the interpreter's int-from-text limit
+    for text in ("1," + "9" * 5000, "1,100"):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, 12)
+        assert info.value.position == 3
+    assert parse_word("1,0012", 12).symbols == (1, 12)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_parse_overlong_number_without_int_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        test_parse_comma_mode_rejects_overlong_number()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_lex_compare_examples():
