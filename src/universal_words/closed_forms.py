@@ -2,17 +2,12 @@
 
 from math import comb
 
-
-def _validate(n: int, sigma: int, min_n: int = 0) -> None:
-    if n < min_n:
-        raise ValueError(f"n must be at least {min_n}, got {n}")
-    if sigma < 1:
-        raise ValueError(f"sigma must be at least 1, got {sigma}")
+from .counting import _check_params
 
 
 def count_index_zero(n: int, sigma: int) -> int:
     """Words of length n over {1..sigma} in which some symbol never occurs."""
-    _validate(n, sigma)
+    _check_params(n, 0, sigma)
     return sum(
         (-1) ** (i + 1) * comb(sigma, i) * (sigma - i) ** n
         for i in range(1, sigma + 1)
@@ -21,7 +16,7 @@ def count_index_zero(n: int, sigma: int) -> int:
 
 def count_one_universal(n: int, sigma: int) -> int:
     """Words of length n that contain every alphabet symbol at least once."""
-    _validate(n, sigma)
+    _check_params(n, 0, sigma)
     return sigma**n - count_index_zero(n, sigma)
 
 
@@ -30,7 +25,7 @@ def count_arches(n: int, sigma: int) -> int:
 
     Returns 0 for n = 0 since the empty word contains no symbol at all.
     """
-    _validate(n, sigma)
+    _check_params(n, 0, sigma)
     if n == 0:
         return 0
     return sigma * (sigma - 1) ** (n - 1) - sum(

@@ -31,9 +31,13 @@ of length n has size entry(0, n - k*sigma, k), or 0 when n < k*sigma.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, IndexOutOfRange, InvalidK, LengthMismatch
+
+# The free-suffix conversions split segments longer than this; shorter ones
+# take one small divmod or Horner step per symbol.
+_LEAF = 32
 
 
 class SuffixCountTable:
@@ -42,7 +46,8 @@ class SuffixCountTable:
     Rows are indexed [c][q][m]. [0][q] is sigma**m for m <= n and every q; for
     c >= 1, [c][q] covers m <= n - k*sigma and [c][sigma] is the same list as
     [c - 1][0]. Values are exact arbitrary-precision integers. ``lookups``
-    counts cell reads made through lookup() and ``build_ops`` the cells
+    counts cell reads made through lookup(), the power-row reads of
+    free_suffix() and free_rank() included, and ``build_ops`` the cells
     evaluated during construction; both are advisory instrumentation, not
     value state.
     """
@@ -63,6 +68,47 @@ class SuffixCountTable:
         if m < 0:
             return 0
         return self._cells[c][q][m]
+
+    def free_suffix(self, x: int, length: int) -> list[int]:
+        """The free suffix of rank x among all sigma**length words: symbol j is
+        base-sigma digit j of x (most significant first) plus one."""
+        out = [0] * length
+        self._split(x, out, 0, length)
+        return out
+
+    def free_rank(self, syms: Sequence[int], start: int) -> int:
+        """Rank of the free suffix syms[start:] among all words of its length:
+        the base-sigma number whose digits are its symbols minus one."""
+        return self._join(syms, start, len(syms))
+
+    # Divide-and-conquer radix conversion (Knuth, TAOCP Vol. 2, 4.4): halves
+    # are split and joined by sigma**h from the power row, so the big-integer
+    # work is a few wide divisions or products rather than one full-width
+    # step per symbol. These are methods, not nested closures: a closure that
+    # calls itself is a reference cycle, which keeps the digit list of every
+    # call alive until the cyclic garbage collector runs.
+
+    def _split(self, x: int, out: list[int], lo: int, hi: int) -> None:
+        if hi - lo <= _LEAF:
+            sigma = self.sigma
+            for j in range(hi - 1, lo - 1, -1):
+                x, d = divmod(x, sigma)
+                out[j] = d + 1
+            return
+        mid = (lo + hi) // 2
+        high, low = divmod(x, self.lookup(0, hi - mid, 0))
+        self._split(high, out, lo, mid)
+        self._split(low, out, mid, hi)
+
+    def _join(self, syms: Sequence[int], lo: int, hi: int) -> int:
+        if hi - lo <= _LEAF:
+            sigma = self.sigma
+            x = 0
+            for j in range(lo, hi):
+                x = x * sigma + syms[j] - 1
+            return x
+        mid = (lo + hi) // 2
+        return self._join(syms, lo, mid) * self.lookup(0, hi - mid, 0) + self._join(syms, mid, hi)
 
     def __repr__(self) -> str:
         return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"

@@ -27,7 +27,7 @@ class LengthMismatch(UniversalWordsError, ValueError):
 
 
 class AlphabetMismatch(UniversalWordsError, ValueError):
-    """Operands were built over different alphabets."""
+    """An alphabet size is below 1, or operands were built over different alphabets."""
 
 
 class InvalidK(UniversalWordsError, ValueError):

@@ -5,9 +5,11 @@ Scanning w left to right, every position i contributes the completions of
 w[1,i-1]x for each symbol x below w[i]: smaller symbols that repeat one already
 seen in the open arch keep the arch state and burn a free slot, smaller new
 symbols grow the arch. Both contributions are single table reads once the
-slack is fixed by the remaining length, so a rank costs O(n) lookups plus
-O(n sigma) bit work. Words that are not members get the rank they would
-receive on insertion.
+slack is fixed by the remaining length, so the scan makes at most two lookups
+per position. Once k arches have closed the word is a member whatever follows,
+and the rest of it is a free suffix: its completions are counted in one
+base-sigma conversion, table.free_rank, which reads O((n - i) / 32) powers.
+Words that are not members get the rank they would receive on insertion.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     q = 0  # distinct symbols in the open arch
     mask = 0  # their bitset
     for i in range(n):
+        if completed >= k:
+            total += table.free_rank(syms, i)
+            break
         s = syms[i]
         if s > 1:
-            left = n - i - 1
-            if completed >= k:
-                total += (s - 1) * lookup(0, left, 0)
-            else:
-                c = k - completed
-                repeats = (mask & ((1 << s) - 1)).bit_count()
-                news = s - 1 - repeats
-                slack = left - sigma * c + q  # slack after a repeated symbol
-                if repeats and slack >= 0:
-                    total += repeats * lookup(q, slack, c)
-                if news and slack + 1 >= 0:
-                    total += news * lookup(q + 1, slack + 1, c)
+            c = k - completed
+            repeats = (mask & ((1 << s) - 1)).bit_count()
+            news = s - 1 - repeats
+            slack = n - i - 1 - sigma * c + q  # slack after a repeated symbol
+            if repeats and slack >= 0:
+                total += repeats * lookup(q, slack, c)
+            if news and slack + 1 >= 0:
+                total += news * lookup(q + 1, slack + 1, c)
         bit = 1 << s
         if not mask & bit:
             if q + 1 == sigma:

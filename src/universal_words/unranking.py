@@ -12,7 +12,10 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
 
     Inverts rank() symbol by symbol: at each position the completion counts of
     the candidate symbols are accumulated until they exceed what is left of r,
-    and the first symbol to do so is chosen. Two table reads per position.
+    and the first symbol to do so is chosen, with two table reads. Once k
+    arches have closed every suffix completes the word, so the remaining
+    symbols are the base-sigma digits of what is left of r, filled in one
+    conversion (table.free_suffix) that reads O((n - j) / 32) powers.
     """
     if table is None:
         table = build_table(n, k, sigma)
@@ -29,14 +32,11 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     mask = 0
     rem = r
     for j in range(n):
-        left = n - j - 1
         if completed >= k:
-            block = lookup(0, left, 0)
-            digit, rem = divmod(rem, block)
-            syms[j] = digit + 1
-            continue
+            syms[j:] = table.free_suffix(rem, n - j)
+            break
         c = k - completed
-        slack = left - sigma * c + q
+        slack = n - j - 1 - sigma * c + q
         rep_count = lookup(q, slack, c) if slack >= 0 else 0
         new_count = lookup(q + 1, slack + 1, c) if slack + 1 >= 0 else 0
         x = 0
@@ -57,7 +57,7 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
             else:
                 q += 1
                 mask |= 1 << x
-    return Word(tuple(syms), _alphabet(sigma))
+    return Word._trusted(tuple(syms), _alphabet(sigma))
 
 
 class EnumerationCursor:
@@ -99,7 +99,7 @@ class EnumerationCursor:
         self.next_rank += 1
         if self._left is not None:
             self._left -= 1
-        return Word(tuple(self._syms), self._alpha)
+        return Word._trusted(tuple(self._syms), self._alpha)
 
     def _seed(self) -> None:
         table = self.table

@@ -17,7 +17,7 @@ class Alphabet:
 
     def __post_init__(self):
         if self.sigma < 1:
-            raise ValueError(f"alphabet size must be at least 1, got {self.sigma}")
+            raise AlphabetMismatch(f"alphabet size must be at least 1, got {self.sigma}")
 
     def symbols(self) -> range:
         return range(1, self.sigma + 1)
@@ -41,6 +41,14 @@ class Word:
             for pos, s in enumerate(self.symbols, 1):
                 if not 1 <= s <= sigma:
                     raise SymbolOutOfRange(pos, s)
+
+    @classmethod
+    def _trusted(cls, symbols: tuple[int, ...], alphabet: Alphabet) -> "Word":
+        """A word whose symbols are in range by construction: skips the O(n) check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "alphabet", alphabet)
+        return w
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -102,13 +110,27 @@ def parse_word(text: str, sigma: int) -> Word:
                     raise ParseError(pos, f"expected a digit, got {ch!r}")
                 raise SymbolOutOfRange(pos, value)
             symbols.append(value)
-        return Word(tuple(symbols), alphabet)
+        return Word._trusted(tuple(symbols), alphabet)
     if text == "":
-        return Word((), alphabet)
+        return Word._trusted((), alphabet)
     width = len(str(sigma))
+    tokens = text.split(",")
+    # Fast path in string methods: ASCII digits and commas only, no empty
+    # token, none longer than sigma's digits, every value in range. Anything
+    # else, leading zeros included, goes through the loop below, which finds
+    # and reports the first bad token.
+    if (
+        text.isascii()
+        and text.replace(",", "").isdigit()
+        and "" not in tokens
+        and max(map(len, tokens)) <= width
+    ):
+        symbols = tuple(map(int, tokens))
+        if 1 <= min(symbols) and max(symbols) <= sigma:
+            return Word._trusted(symbols, alphabet)
     symbols = []
     offset = 1  # 1-based character position of the current token
-    for token in text.split(","):
+    for token in tokens:
         if not (token.isascii() and token.isdigit()):
             raise ParseError(offset, f"expected a number, got {token!r}")
         if len(token) > width and len(token.lstrip("0")) > width:
@@ -118,4 +140,4 @@ def parse_word(text: str, sigma: int) -> Word:
             raise SymbolOutOfRange(len(symbols) + 1, value)
         symbols.append(value)
         offset += len(token) + 1
-    return Word(tuple(symbols), alphabet)
+    return Word._trusted(tuple(symbols), alphabet)

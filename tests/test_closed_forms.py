@@ -4,6 +4,9 @@ from math import factorial
 import pytest
 
 from universal_words import (
+    AlphabetMismatch,
+    LengthMismatch,
+    UniversalWordsError,
     count_arches,
     count_index_zero,
     count_one_universal,
@@ -87,3 +90,13 @@ def test_rejects_bad_parameters():
         count_one_universal(3, 0)
     with pytest.raises(ValueError):
         count_arches(3, -1)
+
+
+def test_bad_parameters_raise_package_errors():
+    with pytest.raises(LengthMismatch):
+        count_index_zero(-1, 2)
+    for fn in (count_index_zero, count_one_universal, count_arches):
+        with pytest.raises(AlphabetMismatch):
+            fn(3, 0)
+        with pytest.raises(UniversalWordsError):
+            fn(-1, 2)

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import factorial
 
@@ -197,3 +198,33 @@ def test_instrumentation_counters():
     before = t.lookups
     count_suffixes(t, 0, 1, 1)
     assert t.lookups == before + 1
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 10, 37, 100])
+def test_free_suffix_conversions_match_per_position_loop(sigma):
+    rng = random.Random(sigma)
+    for length in (0, 1, 31, 32, 33, 64, 65, 299):
+        t = build_table(length + 2, 0, sigma)
+        top = sigma**length
+        for x in (0, top - 1, rng.randrange(top)):
+            # the per-position loop: one divmod by sigma**left per symbol
+            syms, rem = [], x
+            for left in range(length - 1, -1, -1):
+                digit, rem = divmod(rem, sigma**left)
+                syms.append(digit + 1)
+            assert t.free_suffix(x, length) == syms
+            value = sum((s - 1) * sigma ** (length - 1 - j) for j, s in enumerate(syms))
+            assert value == x
+            assert t.free_rank(syms, 0) == x
+            assert t.free_rank([sigma, 1] + syms, 2) == x
+
+
+def test_free_suffix_power_reads_are_counted():
+    t = build_table(299, 0, 10)
+    before = t.lookups
+    syms = t.free_suffix(10**299 - 1, 299)
+    reads = t.lookups - before
+    assert syms == [10] * 299
+    assert 0 < reads <= 299 // 16
+    t.free_rank(syms, 0)
+    assert t.lookups - before == 2 * reads

@@ -1,7 +1,8 @@
 """Property tests at lengths in the hundreds, far beyond the brute-force oracles.
 
 Tight slack (n = k*sigma + 0..3) and k = 1 put reads on the top stored slack
-row of the table, m = n - k*sigma.
+row of the table, m = n - k*sigma. k = 0 makes the whole word a free suffix,
+and sigma up to 40 goes past 36, the largest base int() reads from text.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,14 +20,17 @@ from universal_words import (
 
 @st.composite
 def params(draw):
-    sigma = draw(st.integers(1, 5))
-    shape = draw(st.sampled_from(("tight", "k=1", "any")))
+    sigma = draw(st.integers(1, 5) | st.integers(6, 40))
+    shape = draw(st.sampled_from(("tight", "k=1", "any", "k=0")))
     if shape == "tight":
         k = draw(st.integers(100 // sigma, 400 // sigma))
         n = k * sigma + draw(st.integers(0, 3))
     else:
         n = draw(st.integers(100, 400))
-        k = 1 if shape == "k=1" else draw(st.integers(1, n // sigma))
+        if shape == "any":
+            k = draw(st.integers(1, n // sigma))
+        else:
+            k = 1 if shape == "k=1" else 0
     return n, k, sigma
 
 

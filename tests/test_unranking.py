@@ -1,8 +1,12 @@
+import gc
+import random
+
 import pytest
 
 from universal_words import (
     EmptySet,
     RankOutOfRange,
+    RankResult,
     build_table,
     count_universal,
     enumerate_words,
@@ -48,6 +52,34 @@ def test_round_trips_both_ways():
         for w in brute_enumerate(n, k, sigma):
             r = rank(w, k, t).rank
             assert unrank(r, n, k, sigma, t).symbols == w.symbols
+
+
+def test_round_trips_through_long_free_suffixes():
+    # k = 0 makes the whole word a free suffix; sigma > 36 is past int()'s text bases
+    rng = random.Random(3)
+    for n, k, sigma in [(300, 0, 2), (300, 0, 37), (299, 1, 40), (200, 2, 100)]:
+        t = build_table(n, k, sigma)
+        total = count_universal(n, k, sigma, t)
+        for r in (0, 1, total - 1, rng.randrange(total)):
+            w = unrank(r, n, k, sigma, t)
+            assert rank(w, k, t) == RankResult(r, True)
+
+
+def test_free_suffix_conversions_leave_no_reference_cycles():
+    # a self-calling closure would be a cycle holding each call's digit list
+    n, k, sigma = 2000, 1, 10
+    t = build_table(n, k, sigma)
+    r = random.Random(4).randrange(count_universal(n, k, sigma, t))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        w = unrank(r, n, k, sigma, t)
+        assert rank(w, k, t).rank == r
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_matches_oracle():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from universal_words import (
+    Alphabet,
     AlphabetMismatch,
     LengthMismatch,
     ParseError,
     SymbolOutOfRange,
+    UniversalWordsError,
     Word,
     format_word,
     lex_compare,
@@ -45,6 +47,21 @@ def test_empty_word():
 def test_alphabet_requires_positive_sigma():
     with pytest.raises(ValueError):
         make_word([], 0)
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(SymbolOutOfRange):
+        Word((0,), Alphabet(2))
+    with pytest.raises(SymbolOutOfRange):
+        make_word([3], 2)
+
+
+def test_bad_alphabet_size_is_a_package_error():
+    for sigma in (0, -1):
+        with pytest.raises(AlphabetMismatch):
+            make_word((1,), sigma)
+        with pytest.raises(UniversalWordsError):
+            Alphabet(sigma)
 
 
 def test_format_digits_and_comma_modes():
