@@ -14,12 +14,11 @@ from .arches import (
     universality_index,
 )
 from .closed_forms import count_arches, count_index_zero, count_one_universal
-from .counting import SuffixCountTable, build_table, count_suffixes, count_universal
+from .counting import SuffixCountTable, build_table, count_universal
 from .errors import (
     AlphabetMismatch,
     EmptySet,
     GuardExceeded,
-    IndexOutOfRange,
     InvalidK,
     LengthMismatch,
     ParseError,
@@ -40,7 +39,6 @@ __all__ = [
     "EmptySet",
     "EnumerationCursor",
     "GuardExceeded",
-    "IndexOutOfRange",
     "InvalidK",
     "LengthMismatch",
     "ParseError",
@@ -55,7 +53,6 @@ __all__ = [
     "count_arches",
     "count_index_zero",
     "count_one_universal",
-    "count_suffixes",
     "count_universal",
     "enumerate_words",
     "format_word",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import AlphabetMismatch, IndexOutOfRange, InvalidK, LengthMismatch
+from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
 # The free-suffix conversions split segments longer than this; shorter ones
 # take one small divmod or Horner step per symbol.
@@ -166,18 +166,6 @@ def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
             ops += len(layer[q])
         cells.append(layer)
     return SuffixCountTable(n, k, sigma, cells, ops)
-
-
-def count_suffixes(table: SuffixCountTable, q: int, m: int, c: int) -> int:
-    """Validated read of entry (q, m, c); for c >= 1 only m <= n - k*sigma is stored."""
-    if not 0 <= q <= table.sigma:
-        raise IndexOutOfRange(f"q={q} outside [0, {table.sigma}]")
-    if not 0 <= c <= table.k:
-        raise IndexOutOfRange(f"c={c} outside [0, {table.k}]")
-    top = table.n if c == 0 else table.n - table.k * table.sigma
-    if not 0 <= m <= top:
-        raise IndexOutOfRange(f"m={m} outside [0, {top}] for c={c}")
-    return table.lookup(q, m, c)
 
 
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:

@@ -34,10 +34,6 @@ class InvalidK(UniversalWordsError, ValueError):
     """The universality target k is outside the supported range."""
 
 
-class IndexOutOfRange(UniversalWordsError, IndexError):
-    """A table cell index (q, m, c) is outside the table dimensions."""
-
-
 class RankOutOfRange(UniversalWordsError, ValueError):
     """A rank does not address any word of the target set."""
 

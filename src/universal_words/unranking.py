@@ -7,46 +7,33 @@ from .errors import EmptySet, RankOutOfRange
 from .words import Word, _alphabet
 
 
-def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
-    """The k-universal word of length n with 0-based rank r.
+def _descend(
+    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int, int]], j: int, rem: int
+) -> int:
+    """Write into syms[j:] the completion of rank rem of the prefix syms[:j].
 
-    Inverts rank() symbol by symbol: at each position the completion counts of
-    the candidate symbols are accumulated until they exceed what is left of r,
-    and the first symbol to do so is chosen, with two table reads. Once k
-    arches have closed every suffix completes the word, so the remaining
-    symbols are the base-sigma digits of what is left of r, filled in one
-    conversion (table.free_suffix) that reads O((n - j) / 32) powers.
+    states[j] is the arch state after the prefix: (closed arches, open-arch
+    size, open-arch bitset). At each position the completion counts of the
+    candidate symbols are accumulated until they exceed rem, and the first
+    symbol to do so is chosen, with two table reads; the state after it goes
+    to states[j + 1]. Once k arches have closed every suffix completes the
+    word, so the rest is the base-sigma digits of what is left of rem, filled
+    in one conversion (table.free_suffix). Returns where that free suffix starts.
     """
-    if table is None:
-        table = build_table(n, k, sigma)
-    total = count_universal(n, k, sigma, table)
-    if total == 0:
-        raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
-    if not 0 <= r < total:
-        raise RankOutOfRange(r, total)
-
+    n, k, sigma = table.n, table.k, table.sigma
     lookup = table.lookup
-    syms = [0] * n
-    completed = 0
-    q = 0
-    mask = 0
-    rem = r
-    for j in range(n):
-        if completed >= k:
-            syms[j:] = table.free_suffix(rem, n - j)
-            break
+    completed, q, mask = states[j]
+    while completed < k:
         c = k - completed
-        slack = n - j - 1 - sigma * c + q
+        slack = n - j - 1 - sigma * c + q  # slack after a repeated symbol
         rep_count = lookup(q, slack, c) if slack >= 0 else 0
         new_count = lookup(q + 1, slack + 1, c) if slack + 1 >= 0 else 0
-        x = 0
-        for s in range(1, sigma + 1):
-            cnt = rep_count if mask >> s & 1 else new_count
+        for x in range(1, sigma + 1):
+            cnt = rep_count if mask >> x & 1 else new_count
             if rem < cnt:
-                x = s
                 break
             rem -= cnt
-        if not x:
+        else:
             raise AssertionError("rank exhausted before the word was complete")
         syms[j] = x
         if not mask >> x & 1:
@@ -57,16 +44,40 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
             else:
                 q += 1
                 mask |= 1 << x
+        j += 1
+        states[j] = (completed, q, mask)
+    syms[j:] = table.free_suffix(rem, n - j)
+    return j
+
+
+def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
+    """The k-universal word of length n with 0-based rank r.
+
+    Inverts rank() symbol by symbol, with two table reads per position until
+    the k-th arch closes; the free suffix after it is one base-sigma
+    conversion that reads O((n - j) / 32) powers.
+    """
+    if table is None:
+        table = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, table)
+    if total == 0:
+        raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
+    if not 0 <= r < total:
+        raise RankOutOfRange(r, total)
+    syms = [0] * n
+    _descend(table, syms, [(0, 0, 0)] * (n + 1), 0, r)
     return Word._trusted(tuple(syms), _alphabet(sigma))
 
 
 class EnumerationCursor:
     """Iterator over the k-universal words of length n, smallest first.
 
-    The first word is unranked; every further word is derived from the one
-    before it by bumping the rightmost position that still has a viable larger
-    symbol and refilling the tail minimally. Viability is a slack sign check,
-    so moving from one word to the next costs no table lookups at all.
+    The first word is unranked by the same descent as unrank(), which keeps
+    the arch state after every position before the free suffix. Inside the
+    free suffix a successor adds one in base sigma and reads no table cell.
+    A carry past it moves to the rightmost arch position that still has a
+    viable larger symbol (a slack sign check), counts the completions up to
+    the current symbol there with two reads, and descends again from there.
     """
 
     def __init__(self, table: SuffixCountTable, from_rank: int = 0, limit: int | None = None):
@@ -80,9 +91,8 @@ class EnumerationCursor:
         self._left = limit
         self._alpha = _alphabet(table.sigma)
         self._syms: list[int] | None = None
-        # _state[j] is (closed arches, open-arch size, open-arch bitset)
-        # after the first j symbols
-        self._state: list[tuple[int, int, int]] = []
+        self._states: list[tuple[int, int, int]] = []
+        self._free = 0  # start of the free suffix of the current word
 
     def __iter__(self) -> "EnumerationCursor":
         return self
@@ -93,7 +103,10 @@ class EnumerationCursor:
         if self.next_rank >= self.count:
             raise StopIteration
         if self._syms is None:
-            self._seed()
+            n = self.table.n
+            self._syms = [0] * n
+            self._states = [(0, 0, 0)] * (n + 1)
+            self._free = _descend(self.table, self._syms, self._states, 0, self.next_rank)
         else:
             self._advance()
         self.next_rank += 1
@@ -101,71 +114,32 @@ class EnumerationCursor:
             self._left -= 1
         return Word._trusted(tuple(self._syms), self._alpha)
 
-    def _seed(self) -> None:
-        table = self.table
-        word = unrank(self.next_rank, table.n, table.k, table.sigma, table)
-        self._syms = list(word.symbols)
-        self._state = [(0, 0, 0)] * (table.n + 1)
-        for j, s in enumerate(self._syms, 1):
-            self._apply(j, s)
-
-    def _apply(self, position: int, symbol: int) -> None:
-        completed, q, mask = self._state[position - 1]
-        if mask >> symbol & 1:
-            self._state[position] = (completed, q, mask)
-        elif q + 1 == self.table.sigma:
-            self._state[position] = (completed + 1, 0, 0)
-        else:
-            self._state[position] = (completed, q + 1, mask | 1 << symbol)
-
     def _advance(self) -> None:
+        table = self.table
+        n, k, sigma = table.n, table.k, table.sigma
         syms = self._syms
-        state = self._state
-        n = self.table.n
-        k = self.table.k
-        sigma = self.table.sigma
-        for p in range(n, 0, -1):
-            cur = syms[p - 1]
-            completed, q, mask = state[p - 1]
-            if completed >= k:
-                x = cur + 1 if cur < sigma else 0
-            else:
-                left = n - p
-                slack = left - sigma * (k - completed) + q
-                if slack >= 0:
-                    x = cur + 1 if cur < sigma else 0
-                elif slack == -1:
-                    # only symbols new to the open arch stay viable
-                    x = next(
-                        (s for s in range(cur + 1, sigma + 1) if not mask >> s & 1), 0
-                    )
-                else:
-                    x = 0
-            if x:
-                syms[p - 1] = x
-                self._apply(p, x)
-                self._fill_min(p + 1)
+        free = self._free
+        for p in range(n - 1, free - 1, -1):
+            if syms[p] < sigma:
+                syms[p] += 1
                 return
+            syms[p] = 1
+        for p in range(free - 1, -1, -1):
+            cur = syms[p]
+            completed, q, mask = self._states[p]
+            c = k - completed
+            slack = n - p - 1 - sigma * c + q  # slack after a repeated symbol
+            if cur == sigma or slack < -1:
+                continue
+            if slack == -1 and mask >> (cur + 1) == (1 << (sigma - cur)) - 1:
+                continue  # every larger symbol repeats, and repeats have no room
+            repeats = (mask & ((2 << cur) - 1)).bit_count()
+            rem = (cur - repeats) * table.lookup(q + 1, slack + 1, c)
+            if slack >= 0:
+                rem += repeats * table.lookup(q, slack, c)
+            self._free = _descend(table, syms, self._states, p, rem)
+            return
         raise AssertionError("no successor although next_rank < count")
-
-    def _fill_min(self, start: int) -> None:
-        syms = self._syms
-        state = self._state
-        n = self.table.n
-        k = self.table.k
-        sigma = self.table.sigma
-        for t in range(start, n + 1):
-            completed, q, mask = state[t - 1]
-            if completed >= k:
-                x = 1
-            else:
-                slack = (n - t) - sigma * (k - completed) + q
-                if slack >= 0:
-                    x = 1
-                else:
-                    x = next(s for s in range(1, sigma + 1) if not mask >> s & 1)
-            syms[t - 1] = x
-            self._apply(t, x)
 
 
 def enumerate_words(

@@ -19,9 +19,6 @@ class Alphabet:
         if self.sigma < 1:
             raise AlphabetMismatch(f"alphabet size must be at least 1, got {self.sigma}")
 
-    def symbols(self) -> range:
-        return range(1, self.sigma + 1)
-
 
 @lru_cache(maxsize=None)
 def _alphabet(sigma: int) -> Alphabet:
@@ -86,11 +83,16 @@ def lex_compare(w: Word, v: Word) -> int:
     return 0
 
 
+# byte value s -> ASCII digit s, for words over at most nine symbols
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_word(w: Word) -> str:
     """Canonical text: concatenated digits (sigma <= 9) or comma-separated numbers."""
+    symbols = tuple(w.symbols)
     if w.alphabet.sigma <= 9:
-        return "".join(map(str, w.symbols))
-    return ",".join(map(str, w.symbols))
+        return bytes(symbols).translate(_DIGITS).decode()
+    return (",%d" * len(symbols))[1:] % symbols
 
 
 def parse_word(text: str, sigma: int) -> Word:

@@ -18,15 +18,25 @@ from universal_words.closed_forms import (
     count_one_universal,
 )
 from universal_words.counting import build_table, count_universal
-from universal_words.oracle import brute_enumerate, brute_is_k_universal
+from universal_words.oracle import brute_is_k_universal, brute_universality_index
 from universal_words.ranking import rank
 from universal_words.unranking import enumerate_words, unrank
 from universal_words.words import format_word, make_word, parse_word
 
 
 @lru_cache(maxsize=None)
+def _members_by_k(n, sigma):
+    """Member tuples of every k <= n / sigma, from one pass over all sigma**n words."""
+    members = [[] for _ in range(n // sigma + 1)]
+    for tup in product(range(1, sigma + 1), repeat=n):
+        index = brute_universality_index(make_word(tup, sigma), cap=n // sigma)
+        for k in range(index + 1):
+            members[k].append(tup)
+    return tuple(map(tuple, members))
+
+
 def _members(n, k, sigma):
-    return tuple(w.symbols for w in brute_enumerate(n, k, sigma))
+    return _members_by_k(n, sigma)[k]
 
 
 @lru_cache(maxsize=None)

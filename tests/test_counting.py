@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from universal_words import (
     AlphabetMismatch,
-    IndexOutOfRange,
     InvalidK,
     LengthMismatch,
     build_table,
-    count_suffixes,
     count_universal,
 )
 from universal_words import counting
@@ -37,24 +35,24 @@ def _completion_count(q, m, c, sigma):
 
 def test_zero_slack_cells_are_forced_permutations():
     t = build_table(6, 3, 2)
-    assert count_suffixes(t, 1, 0, 2) == factorial(1) * factorial(2)
-    assert count_suffixes(t, 0, 0, 3) == factorial(2) ** 3
-    assert count_suffixes(t, 2, 0, 1) == 1
+    assert t.lookup(1, 0, 2) == factorial(1) * factorial(2)
+    assert t.lookup(0, 0, 3) == factorial(2) ** 3
+    assert t.lookup(2, 0, 1) == 1
 
 
 def test_no_arches_left_cells_are_powers():
     t = build_table(5, 1, 3)
     for q in range(4):
-        assert count_suffixes(t, q, 5, 0) == 3**5
+        assert t.lookup(q, 5, 0) == 3**5
 
 
 def test_single_cells_against_direct_enumeration():
     t2 = build_table(6, 2, 2)
-    assert count_suffixes(t2, 1, 1, 1) == 3
-    assert count_suffixes(t2, 1, 1, 2) == 8
+    assert t2.lookup(1, 1, 1) == 3
+    assert t2.lookup(1, 1, 2) == 8
     t3 = build_table(8, 2, 3)
-    assert count_suffixes(t3, 2, 1, 1) == _completion_count(2, 1, 1, 3)
-    assert count_suffixes(t3, 0, 2, 2) == _completion_count(0, 2, 2, 3)
+    assert t3.lookup(2, 1, 1) == _completion_count(2, 1, 1, 3)
+    assert t3.lookup(0, 2, 2) == _completion_count(0, 2, 2, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +66,7 @@ def test_cells_match_direct_enumeration(sigma, q, m, c):
     q = min(q, sigma - 1)  # closed-arch column checked via its identity below
     k = max(c, 1)
     t = build_table(m + k * sigma, k, sigma)  # slack m is stored up to n - k*sigma
-    assert count_suffixes(t, q, m, c) == _completion_count(q, m, c, sigma)
+    assert t.lookup(q, m, c) == _completion_count(q, m, c, sigma)
 
 
 def test_closed_arch_column_identities():
@@ -76,9 +74,9 @@ def test_closed_arch_column_identities():
         for k in (1, 2, 3):
             t = build_table(6 + k * sigma, k, sigma)
             for m in range(7):
-                assert count_suffixes(t, sigma, m, 1) == sigma**m
+                assert t.lookup(sigma, m, 1) == sigma**m
                 for c in range(2, k + 1):
-                    assert count_suffixes(t, sigma, m, c) == count_suffixes(t, 0, m, c - 1)
+                    assert t.lookup(sigma, m, c) == t.lookup(0, m, c - 1)
 
 
 def test_fresh_arch_column_is_sigma_times_first():
@@ -86,7 +84,7 @@ def test_fresh_arch_column_is_sigma_times_first():
         t = build_table(5 + 2 * sigma, 2, sigma)
         for m in range(6):
             for c in range(1, 3):
-                assert count_suffixes(t, 0, m, c) == sigma * count_suffixes(t, 1, m, c)
+                assert t.lookup(0, m, c) == sigma * t.lookup(1, m, c)
 
 
 def test_spot_counts():
@@ -157,7 +155,7 @@ def test_rebuild_is_deterministic():
     for q in range(4):
         for m in range(8):
             for c in range(3):
-                assert count_suffixes(a, q, m, c) == count_suffixes(b, q, m, c)
+                assert a.lookup(q, m, c) == b.lookup(q, m, c)
 
 
 def test_count_accepts_prebuilt_table_and_rejects_wrong_one():
@@ -181,22 +179,12 @@ def test_parameters_raise_typed_errors():
         count_universal(6, 2, 3, t)
 
 
-def test_count_suffixes_validates_indices():
-    t = build_table(4, 2, 2)
-    bad_cells = [(-1, 0, 0), (3, 0, 0), (0, -1, 0), (0, 5, 0), (0, 0, -1), (0, 0, 3)]
-    # for c >= 1 only slack m <= n - k*sigma = 0 is stored
-    bad_cells += [(0, 1, 1), (2, 1, 2)]
-    for bad in bad_cells:
-        with pytest.raises(IndexOutOfRange):
-            count_suffixes(t, *bad)
-
-
 def test_instrumentation_counters():
     t = build_table(10, 2, 2)
     # sigma**m for m <= 10, then k*sigma rows over slack m <= 10 - 2*2
     assert t.build_ops == 11 + 2 * 2 * 7
     before = t.lookups
-    count_suffixes(t, 0, 1, 1)
+    t.lookup(0, 1, 1)
     assert t.lookups == before + 1
 
 

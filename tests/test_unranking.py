@@ -7,10 +7,12 @@ from universal_words import (
     EmptySet,
     RankOutOfRange,
     RankResult,
+    arch_factorize,
     build_table,
     count_universal,
     enumerate_words,
     format_word,
+    make_word,
     rank,
     unrank,
 )
@@ -138,6 +140,37 @@ def test_cursor_lookup_delay_is_bounded():
     for _ in cursor:
         assert t.lookups - seen <= 2 * 10 * 2
         seen = t.lookups
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma", [(300, 10, 4), (200, 60, 3), (120, 3, 12), (100, 2, 40), (400, 0, 3), (60, 25, 2)]
+)
+def test_enumeration_carries_past_free_suffix_at_large_n(n, k, sigma):
+    # beyond the oracle's reach: slices that start 3 ranks before a carry out of
+    # an all-sigma free suffix must still match unrank word for word
+    t = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, t)
+    rng = random.Random(n * k + sigma)
+    starts = [rng.randrange(total) for _ in range(3)]
+    for _ in range(3):
+        w = unrank(rng.randrange(total), n, k, sigma, t)
+        free = arch_factorize(w).arch_bounds()[k - 1][1] if k else 0
+        top = make_word(w.symbols[:free] + (sigma,) * (n - free), sigma)
+        r = rank(top, k, t)
+        assert r.member
+        starts.append(max(0, r.rank - 3))
+    bound = 2 * n * sigma
+    for start in starts:
+        cursor = enumerate_words(n, k, sigma, from_rank=start, limit=60, table=t)
+        prev = None
+        for i, w in enumerate(cursor):
+            if prev is not None:
+                assert t.lookups - seen <= bound
+                assert prev < w.symbols
+            assert w.symbols == unrank(start + i, n, k, sigma, t).symbols
+            prev = w.symbols
+            seen = t.lookups
+        assert i + 1 == min(60, total - start)
 
 
 def test_unrank_validates_table_parameters():

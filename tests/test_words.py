@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -67,6 +68,12 @@ def test_bad_alphabet_size_is_a_package_error():
 def test_format_digits_and_comma_modes():
     assert format_word(make_word([1, 2, 2, 1], 2)) == "1221"
     assert format_word(make_word([10, 2, 10], 12)) == "10,2,10"
+    rng = random.Random(9)
+    for sigma in (1, 9, 10, 1000):
+        sep = "" if sigma <= 9 else ","
+        for n in (0, 1, 2000):
+            syms = [rng.randint(1, sigma) for _ in range(n)]
+            assert format_word(make_word(syms, sigma)) == sep.join(map(str, syms))
 
 
 def test_parse_digit_mode():
