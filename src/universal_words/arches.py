@@ -9,20 +9,26 @@ the largest k for which every length-k word is a subsequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidK
-from .words import Word
+from .words import Word, _Value
 
 
-@dataclass(frozen=True)
-class ArchFactorization:
+class ArchFactorization(_Value):
     """Greedy factorization of one word; positions are 1-based."""
 
-    arch_starts: tuple[int, ...]
-    arch_count: int
-    suffix_start: int  # n + 1 when the residual suffix is empty
-    source_length: int
+    __slots__ = ("arch_starts", "arch_count", "suffix_start", "source_length")
+
+    def __init__(
+        self,
+        arch_starts: tuple[int, ...],
+        arch_count: int,
+        suffix_start: int,  # n + 1 when the residual suffix is empty
+        source_length: int,
+    ):
+        object.__setattr__(self, "arch_starts", arch_starts)
+        object.__setattr__(self, "arch_count", arch_count)
+        object.__setattr__(self, "suffix_start", suffix_start)
+        object.__setattr__(self, "source_length", source_length)
 
     def arch_bounds(self) -> list[tuple[int, int]]:
         """(start, end) of each arch, 1-based inclusive."""

@@ -10,10 +10,8 @@ Ranks and counts cross the boundary as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import oracle
 from .arches import arch_factorize
 from .closed_forms import count_arches, count_index_zero, count_one_universal
 from .counting import build_table, count_universal
@@ -47,6 +45,8 @@ def _positive(text: str) -> int:
 
 def _emit(args, text_lines, payload) -> None:
     if args.json:
+        import json
+
         print(json.dumps({"command": args.command, "params": _params(args), "result": payload}))
     else:
         for line in text_lines:
@@ -98,18 +98,17 @@ def _cmd_enum(args) -> int:
     cursor = enumerate_words(
         args.n, args.k, args.sigma, from_rank=args.from_rank, limit=args.limit
     )
-    params = _params(args)
-    for offset, word in enumerate(cursor):
-        text = format_word(word)
-        if args.json:
-            line = {
-                "command": "enum",
-                "params": params,
-                "result": {"rank": str(args.from_rank + offset), "word": text},
-            }
-            print(json.dumps(line))
-        else:
-            print(text)
+    if not args.json:
+        for word in cursor:
+            print(format_word(word))
+        return 0
+    import json
+
+    # every line is json.dumps({"command", "params", "result"}); only the
+    # result changes, and its rank and word hold nothing that needs escaping
+    head = json.dumps({"command": "enum", "params": _params(args)})[:-1]
+    for r, word in enumerate(cursor, args.from_rank):
+        print(head + ', "result": {"rank": "%d", "word": "%s"}}' % (r, format_word(word)))
     return 0
 
 
@@ -151,6 +150,8 @@ def _cmd_closed_forms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     n, k, sigma = args.n, args.k, args.sigma
     members = oracle.brute_enumerate(n, k, sigma)
     table = build_table(n, k, sigma)

@@ -31,7 +31,7 @@ of length n has size entry(0, n - k*sigma, k), or 0 when n < k*sigma.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 

@@ -14,16 +14,18 @@ Words that are not members get the rank they would receive on insertion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import SuffixCountTable, _check_params
-from .words import Word
+from .words import Word, _Value
 
 
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    member: bool
+class RankResult(_Value):
+    """The rank of a word, and whether the word itself is in the set."""
+
+    __slots__ = ("rank", "member")
+
+    def __init__(self, rank: int, member: bool):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "member", member)
 
 
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:

@@ -2,22 +2,56 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .errors import AlphabetMismatch, LengthMismatch, ParseError, SymbolOutOfRange
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Value:
+    """An immutable record whose fields are its __slots__.
+
+    Instances of the same class compare and hash by their fields, and repr
+    as Class(field=value, ...). Fields are set once with object.__setattr__;
+    assigning or deleting one afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Alphabet(_Value):
     """The ordered alphabet {1, ..., sigma}."""
 
-    sigma: int
+    __slots__ = ("sigma",)
 
-    def __post_init__(self):
-        if self.sigma < 1:
-            raise AlphabetMismatch(f"alphabet size must be at least 1, got {self.sigma}")
+    def __init__(self, sigma: int):
+        if sigma < 1:
+            raise AlphabetMismatch(f"alphabet size must be at least 1, got {sigma}")
+        object.__setattr__(self, "sigma", sigma)
 
 
 @lru_cache(maxsize=None)
@@ -25,19 +59,19 @@ def _alphabet(sigma: int) -> Alphabet:
     return Alphabet(sigma)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """An immutable word; symbols are 1-based integers within the alphabet."""
 
-    symbols: tuple[int, ...]
-    alphabet: Alphabet
+    __slots__ = ("symbols", "alphabet")
 
-    def __post_init__(self):
-        sigma = self.alphabet.sigma
-        if not all(1 <= s <= sigma for s in self.symbols):
-            for pos, s in enumerate(self.symbols, 1):
+    def __init__(self, symbols: tuple[int, ...], alphabet: Alphabet):
+        sigma = alphabet.sigma
+        if not all(1 <= s <= sigma for s in symbols):
+            for pos, s in enumerate(symbols, 1):
                 if not 1 <= s <= sigma:
                     raise SymbolOutOfRange(pos, s)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet", alphabet)
 
     @classmethod
     def _trusted(cls, symbols: tuple[int, ...], alphabet: Alphabet) -> "Word":

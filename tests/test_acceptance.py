@@ -8,7 +8,7 @@ between criteria.
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 from math import factorial
 
 from universal_words.arches import arch_factorize
@@ -101,24 +101,34 @@ def test_criterion_3_closed_form_cross_checks():
 
 def test_criterion_4_rank_unrank_bijection():
     failures = []
-    for n, k, sigma in _grid():
-        members = _members(n, k, sigma)
-        table = _table(n, k, sigma)
-        for i, syms in enumerate(members):
-            word = unrank(i, n, k, sigma, table)
-            res = rank(word, k, table)
-            if word.symbols != syms or res.rank != i or not res.member:
-                failures.append((n, k, sigma, i))
-                break
-        pointer = 0
+    # the grid lists the ks of one (n, sigma) together
+    for (n, sigma), shapes in groupby(_grid(), key=lambda shape: shape[::2]):
+        ks = [k for _, k, _ in shapes]
+        for k in ks:
+            members = _members(n, k, sigma)
+            table = _table(n, k, sigma)
+            for i, syms in enumerate(members):
+                word = unrank(i, n, k, sigma, table)
+                res = rank(word, k, table)
+                if word.symbols != syms or res.rank != i or not res.member:
+                    failures.append((n, k, sigma, i))
+                    break
+        # one walk over all sigma**n words builds each word once and ranks
+        # it for every k where it is not a member; pointer[k] counts the
+        # members passed so far, which is the rank a non-member must get
+        pending = [(k, _members(n, k, sigma), _table(n, k, sigma)) for k in ks]
+        pointer = dict.fromkeys(ks, 0)
         for tup in product(range(1, sigma + 1), repeat=n):
-            if pointer < len(members) and members[pointer] == tup:
-                pointer += 1
-                continue
-            res = rank(make_word(tup, sigma), k, table)
-            if res.rank != pointer or res.member:
-                failures.append((n, k, sigma, tup))
-                break
+            word = make_word(tup, sigma)
+            for k, members, table in pending:
+                at = pointer[k]
+                if at < len(members) and members[at] == tup:
+                    pointer[k] = at + 1
+                    continue
+                res = rank(word, k, table)
+                if res.rank != at or res.member:
+                    failures.append((n, k, sigma, tup))
+                    pending = [p for p in pending if p[0] != k]
     _report(4, not failures, f"first failures {failures[:3]}")
 
 

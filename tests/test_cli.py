@@ -1,13 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from universal_words import cli
 from universal_words.cli import main
 from universal_words.counting import count_universal
+from universal_words.unranking import enumerate_words
+from universal_words.words import format_word
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +163,40 @@ def test_json_enum_one_object_per_line(capsys):
     assert objs[0]["params"]["from"] == "1"
 
 
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--n", "4", "--k", "2", "--sigma", "2"],
+         {"n": 4, "k": 2, "sigma": 2, "from": "0", "limit": None}),
+        (["--n", "7", "--k", "1", "--sigma", "3", "--from", "100", "--limit", "40"],
+         {"n": 7, "k": 1, "sigma": 3, "from": "100", "limit": 40}),
+        (["--n", "5", "--k", "0", "--sigma", "12", "--from", "7", "--limit", "30"],
+         {"n": 5, "k": 0, "sigma": 12, "from": "7", "limit": 30}),
+        (["--n", "60", "--k", "2", "--sigma", "10", "--from", "10" * 25, "--limit", "5"],
+         {"n": 60, "k": 2, "sigma": 10, "from": "10" * 25, "limit": 5}),
+        (["--n", "5", "--k", "1", "--sigma", "5", "--limit", "0"],
+         {"n": 5, "k": 1, "sigma": 5, "from": "0", "limit": 0}),
+    ],
+)
+def test_json_enum_lines_equal_json_dumps(capsys, argv, params):
+    code, out, err = run_cli(capsys, "enum", *argv, "--json")
+    assert (code, err) == (0, "")
+    start = int(params["from"])
+    words = enumerate_words(
+        params["n"], params["k"], params["sigma"], from_rank=start, limit=params["limit"]
+    )
+    expected = [
+        json.dumps({
+            "command": "enum",
+            "params": params,
+            "result": {"rank": str(start + i), "word": format_word(w)},
+        })
+        for i, w in enumerate(words)
+    ]
+    assert expected or params["limit"] == 0
+    assert out.splitlines() == expected
+
+
 def test_json_arch_shape(capsys):
     code, out, _ = run_cli(
         capsys, "arch", "--sigma", "4", "11234432122314332144", "--json"
@@ -243,3 +281,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_cli_imports_only_what_a_command_needs():
+    # -S keeps site, and any .pth file it reads, from importing modules first
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys; from universal_words.cli import main; "
+        "main(['count', '--n', '4', '--k', '2', '--sigma', '2']); "
+        "print(*sorted(sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, modules = proc.stdout.splitlines()
+    loaded = set(modules.split())
+    assert count == "4" and "universal_words.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "json", "typing", "universal_words.oracle"}
+    assert not loaded & unwanted
