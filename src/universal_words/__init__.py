@@ -28,7 +28,7 @@ from .errors import (
 )
 from .ranking import RankResult, rank
 from .unranking import EnumerationCursor, enumerate_words, unrank
-from .words import Alphabet, Word, format_word, lex_compare, make_word, parse_word
+from .words import Alphabet, Word, format_word, make_word, parse_word
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "enumerate_words",
     "format_word",
     "is_k_universal",
-    "lex_compare",
     "make_word",
     "parse_word",
     "rank",

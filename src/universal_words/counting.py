@@ -1,32 +1,32 @@
 """Suffix-completion counts and the exact size of the k-universal word set.
 
-A suffix count is indexed by a state (q, m, c):
+The state of a partial word is the number d of symbols it still owes: with
+`completed` arches closed and q distinct symbols seen in the arch being built,
+d = sigma*(k - completed) - q, the fewest symbols that can close the k-th arch.
+Which q symbols were seen does not matter, only how many. A suffix count
 
-    q  distinct symbols already seen in the arch currently being built
-       (q = 0: a fresh arch with nothing seen, q = sigma: the arch just closed),
-    m  free symbols left, i.e. slack beyond the forced first occurrences,
-    c  arches still owed, counting the one in progress.
+    rows[d][m]
 
-entry(q, m, c) is the number of words u of length m + (sigma - q) + sigma*(c - 1)
-(or plain length m when c = 0) that close at least c more arches when appended
-after such a partial arch. Which q symbols were seen does not matter, only how
-many. With no arches owed every symbol is free, entry(q, m, 0) = sigma**m; a
-closed arch opens a fresh one, entry(sigma, m, c) = entry(0, m, c - 1); and for
-q < sigma a repeated symbol burns one free slot while a new one grows the arch:
+is the number of words u of length d + m that, appended after a state owing d
+symbols, close the k-th arch; m is the slack, the free symbols beyond the owed
+ones. With nothing owed every symbol is free, rows[0][m] = sigma**m. For d >= 1
+let q = -d mod sigma be the size of the open arch: a repeated symbol (q
+choices) burns one free slot and keeps d, a new one (sigma - q choices) owes
+one symbol less, and a new symbol that closes an arch opens a fresh one:
 
-    entry(q, m, c) = (sigma - q) * entry(q + 1, m, c) + q * entry(q, m - 1, c)
+    rows[d][m] = (sigma - q) * rows[d - 1][m] + q * rows[d][m - 1]
 
-So the counts form one chain of rows: sigma**m first, then for c = 1..k the
-rows q = sigma - 1 down to 0, each one pass over the row before it. In
-generating-function terms every arch multiplies the series 1/(1 - sigma x) by
-sigma! x**sigma / prod_{i<sigma} (1 - i x). The zero-slack cells come out of
-the same pass as (sigma - q)! * (sigma!)**(c - 1).
+So the counts form one chain of rows, d = 0..k*sigma, each one pass over the
+row before it. In generating-function terms every arch multiplies the series
+1/(1 - sigma x) by sigma! x**sigma / prod_{i<sigma} (1 - i x). The zero-slack
+cells come out of the same pass as (sigma - q)! * (sigma!)**(c - 1), with c
+the arches still owed.
 
-Only slack m <= n - k*sigma is ever read when c >= 1: after i symbols with
-`completed` arches closed and q symbols open, i >= sigma*completed + q, so the
-slack n - i - sigma*(k - completed) + q of any completion is at most n - k*sigma.
-The chain rows for c >= 1 therefore stop there. The set of k-universal words
-of length n has size entry(0, n - k*sigma, k), or 0 when n < k*sigma.
+Only slack m <= n - k*sigma is ever read when d >= 1: after i symbols owing d,
+i >= k*sigma - d, so the slack n - i - d of any completion is at most
+n - k*sigma. The chain rows for d >= 1 therefore stop there. The set of
+k-universal words of length n has size rows[k*sigma][n - k*sigma], or 0 when
+n < k*sigma.
 """
 
 from __future__ import annotations
@@ -43,31 +43,37 @@ _LEAF = 32
 class SuffixCountTable:
     """The chain rows of suffix-completion counts for fixed (n, k, sigma).
 
-    Rows are indexed [c][q][m]. [0][q] is sigma**m for m <= n and every q; for
-    c >= 1, [c][q] covers m <= n - k*sigma and [c][sigma] is the same list as
-    [c - 1][0]. Values are exact arbitrary-precision integers. ``lookups``
-    counts cell reads made through lookup(), the power-row reads of
-    free_suffix() and free_rank() included, and ``build_ops`` the cells
-    evaluated during construction; both are advisory instrumentation, not
-    value state.
+    rows[d][m] counts the completions of a state owing d symbols with slack m
+    (see the module docstring): rows[0] is sigma**m for m <= n, and rows 1 to
+    k*sigma cover m <= n - k*sigma. Each row is stored once. Values are exact
+    arbitrary-precision integers. ``lookups`` counts cell reads: those of
+    lookup(), the power-row reads of free_suffix() and free_rank(), and the
+    reads that rank, unrank and enumeration make in place and add once per
+    call. ``build_ops`` is the number of cells built. Both are advisory
+    instrumentation, not value state.
     """
 
-    __slots__ = ("n", "k", "sigma", "_cells", "build_ops", "lookups")
+    __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
 
-    def __init__(self, n: int, k: int, sigma: int, cells: list, build_ops: int):
+    def __init__(self, n: int, k: int, sigma: int, rows: list[list[int]]):
         self.n = n
         self.k = k
         self.sigma = sigma
-        self._cells = cells
-        self.build_ops = build_ops
+        self.rows = rows
+        self.build_ops = sum(map(len, rows))
         self.lookups = 0
 
     def lookup(self, q: int, m: int, c: int) -> int:
-        """Instrumented cell read; negative slack means no completion exists."""
+        """Counted read of the completions after q symbols of an open arch,
+        with c arches owed (the open one included) and slack m: row
+        c*sigma - q, or the power row when c = 0. Negative slack means no
+        completion exists."""
         self.lookups += 1
+        if c < 0 or not 0 <= q <= self.sigma:
+            raise IndexError(f"no state with {q} open symbols and {c} arches owed")
         if m < 0:
             return 0
-        return self._cells[c][q][m]
+        return self.rows[c * self.sigma - q if c else 0][m]
 
     def free_suffix(self, x: int, length: int) -> list[int]:
         """The free suffix of rank x among all sigma**length words: symbol j is
@@ -96,7 +102,8 @@ class SuffixCountTable:
                 out[j] = d + 1
             return
         mid = (lo + hi) // 2
-        high, low = divmod(x, self.lookup(0, hi - mid, 0))
+        self.lookups += 1
+        high, low = divmod(x, self.rows[0][hi - mid])
         self._split(high, out, lo, mid)
         self._split(low, out, mid, hi)
 
@@ -108,7 +115,8 @@ class SuffixCountTable:
                 x = x * sigma + syms[j] - 1
             return x
         mid = (lo + hi) // 2
-        return self._join(syms, lo, mid) * self.lookup(0, hi - mid, 0) + self._join(syms, mid, hi)
+        self.lookups += 1
+        return self._join(syms, lo, mid) * self.rows[0][hi - mid] + self._join(syms, mid, hi)
 
     def __repr__(self) -> str:
         return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"
@@ -135,37 +143,28 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
 
 
 def _chain(n: int, k: int, sigma: int, top: int) -> Iterator[list[int]]:
-    """Yield sigma**m for m <= top, then the rows c = 1..k, q = sigma-1..0 over m <= n - k*sigma."""
+    """Yield row d = 0..k*sigma: sigma**m for m <= top, then m <= n - k*sigma."""
     row = [1] * (top + 1)
     for m in range(1, top + 1):
         row[m] = row[m - 1] * sigma
     yield row
     width = n - k * sigma + 1
-    for _ in range(k):
-        for q in range(sigma - 1, -1, -1):
-            grow = sigma - q
-            nxt = [0] * width
-            prev = 0
-            for m in range(width):
-                prev = grow * row[m] + q * prev
-                nxt[m] = prev
-            row = nxt
-            yield row
+    for d in range(1, k * sigma + 1):
+        q = -d % sigma  # size of the open arch
+        grow = sigma - q
+        nxt = [0] * width
+        prev = 0
+        for m in range(width):
+            prev = grow * row[m] + q * prev
+            nxt[m] = prev
+        row = nxt
+        yield row
 
 
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     """Keep every row of the chain, (n + 1) + k*sigma*(n - k*sigma + 1) cells."""
     _check_params(n, k, sigma)
-    rows = _chain(n, k, sigma, n)
-    cells = [[next(rows)] * (sigma + 1)]
-    ops = n + 1
-    for _ in range(k):
-        layer = [None] * sigma + [cells[-1][0]]
-        for q in range(sigma - 1, -1, -1):
-            layer[q] = next(rows)
-            ops += len(layer[q])
-        cells.append(layer)
-    return SuffixCountTable(n, k, sigma, cells, ops)
+    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma, n)))
 
 
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:

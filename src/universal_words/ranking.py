@@ -3,10 +3,10 @@
 The rank of w is the number of k-universal words that are strictly smaller.
 Scanning w left to right, every position i contributes the completions of
 w[1,i-1]x for each symbol x below w[i]: smaller symbols that repeat one already
-seen in the open arch keep the arch state and burn a free slot, smaller new
-symbols grow the arch. Both contributions are single table reads once the
-slack is fixed by the remaining length, so the scan makes at most two lookups
-per position. Once k arches have closed the word is a member whatever follows,
+seen in the open arch keep the d symbols still owed and burn a free slot,
+smaller new symbols owe one less. Once the slack is fixed by the remaining
+length both contributions are single cells, rows[d][slack] and
+rows[d - 1][slack + 1], so the scan makes at most two reads per position. Once k arches have closed the word is a member whatever follows,
 and the rest of it is a free suffix: its completions are counted in one
 base-sigma conversion, table.free_rank, which reads O((n - i) / 32) powers.
 Words that are not members get the rank they would receive on insertion.
@@ -34,33 +34,30 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     sigma = w.alphabet.sigma
     _check_params(n, k, sigma, table)
 
-    lookup = table.lookup
+    rows = table.rows
     syms = w.symbols
     total = 0
-    completed = 0  # arches closed within the scanned prefix
-    q = 0  # distinct symbols in the open arch
-    mask = 0  # their bitset
+    reads = 0
+    d = sigma * k  # symbols still owed before k arches close
+    mask = 0  # the symbols of the open arch, as a bitset
     for i in range(n):
-        if completed >= k:
+        if not d:
             total += table.free_rank(syms, i)
             break
         s = syms[i]
         if s > 1:
-            c = k - completed
             repeats = (mask & ((1 << s) - 1)).bit_count()
             news = s - 1 - repeats
-            slack = n - i - 1 - sigma * c + q  # slack after a repeated symbol
+            slack = n - i - 1 - d  # slack after a repeated symbol
             if repeats and slack >= 0:
-                total += repeats * lookup(q, slack, c)
+                total += repeats * rows[d][slack]
+                reads += 1
             if news and slack + 1 >= 0:
-                total += news * lookup(q + 1, slack + 1, c)
+                total += news * rows[d - 1][slack + 1]
+                reads += 1
         bit = 1 << s
         if not mask & bit:
-            if q + 1 == sigma:
-                completed += 1
-                q = 0
-                mask = 0
-            else:
-                q += 1
-                mask |= bit
-    return RankResult(total, completed >= k)
+            d -= 1
+            mask = 0 if d % sigma == 0 else mask | bit
+    table.lookups += reads
+    return RankResult(total, not d)

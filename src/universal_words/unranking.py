@@ -8,26 +8,27 @@ from .words import Word, _alphabet
 
 
 def _descend(
-    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int, int]], j: int, rem: int
+    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int]], j: int, rem: int
 ) -> int:
     """Write into syms[j:] the completion of rank rem of the prefix syms[:j].
 
-    states[j] is the arch state after the prefix: (closed arches, open-arch
-    size, open-arch bitset). At each position the completion counts of the
+    states[j] is the arch state after the prefix: (symbols still owed,
+    open-arch bitset). At each position the completion counts of the
     candidate symbols are accumulated until they exceed rem, and the first
     symbol to do so is chosen, with two table reads; the state after it goes
     to states[j + 1]. Once k arches have closed every suffix completes the
     word, so the rest is the base-sigma digits of what is left of rem, filled
     in one conversion (table.free_suffix). Returns where that free suffix starts.
     """
-    n, k, sigma = table.n, table.k, table.sigma
-    lookup = table.lookup
-    completed, q, mask = states[j]
-    while completed < k:
-        c = k - completed
-        slack = n - j - 1 - sigma * c + q  # slack after a repeated symbol
-        rep_count = lookup(q, slack, c) if slack >= 0 else 0
-        new_count = lookup(q + 1, slack + 1, c) if slack + 1 >= 0 else 0
+    n, sigma = table.n, table.sigma
+    rows = table.rows
+    reads = 0
+    d, mask = states[j]
+    while d:
+        slack = n - j - 1 - d  # slack after a repeated symbol
+        rep_count = rows[d][slack] if slack >= 0 else 0
+        new_count = rows[d - 1][slack + 1] if slack + 1 >= 0 else 0
+        reads += (slack >= 0) + (slack + 1 >= 0)
         for x in range(1, sigma + 1):
             cnt = rep_count if mask >> x & 1 else new_count
             if rem < cnt:
@@ -37,15 +38,11 @@ def _descend(
             raise AssertionError("rank exhausted before the word was complete")
         syms[j] = x
         if not mask >> x & 1:
-            if q + 1 == sigma:
-                completed += 1
-                q = 0
-                mask = 0
-            else:
-                q += 1
-                mask |= 1 << x
+            d -= 1
+            mask = 0 if d % sigma == 0 else mask | 1 << x
         j += 1
-        states[j] = (completed, q, mask)
+        states[j] = (d, mask)
+    table.lookups += reads
     syms[j:] = table.free_suffix(rem, n - j)
     return j
 
@@ -65,7 +62,7 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     if not 0 <= r < total:
         raise RankOutOfRange(r, total)
     syms = [0] * n
-    _descend(table, syms, [(0, 0, 0)] * (n + 1), 0, r)
+    _descend(table, syms, [(k * sigma, 0)] * (n + 1), 0, r)
     return Word._trusted(tuple(syms), _alphabet(sigma))
 
 
@@ -91,7 +88,7 @@ class EnumerationCursor:
         self._left = limit
         self._alpha = _alphabet(table.sigma)
         self._syms: list[int] | None = None
-        self._states: list[tuple[int, int, int]] = []
+        self._states: list[tuple[int, int]] = []
         self._free = 0  # start of the free suffix of the current word
 
     def __iter__(self) -> "EnumerationCursor":
@@ -103,10 +100,10 @@ class EnumerationCursor:
         if self.next_rank >= self.count:
             raise StopIteration
         if self._syms is None:
-            n = self.table.n
-            self._syms = [0] * n
-            self._states = [(0, 0, 0)] * (n + 1)
-            self._free = _descend(self.table, self._syms, self._states, 0, self.next_rank)
+            table = self.table
+            self._syms = [0] * table.n
+            self._states = [(table.k * table.sigma, 0)] * (table.n + 1)
+            self._free = _descend(table, self._syms, self._states, 0, self.next_rank)
         else:
             self._advance()
         self.next_rank += 1
@@ -116,7 +113,7 @@ class EnumerationCursor:
 
     def _advance(self) -> None:
         table = self.table
-        n, k, sigma = table.n, table.k, table.sigma
+        n, sigma = table.n, table.sigma
         syms = self._syms
         free = self._free
         for p in range(n - 1, free - 1, -1):
@@ -126,17 +123,17 @@ class EnumerationCursor:
             syms[p] = 1
         for p in range(free - 1, -1, -1):
             cur = syms[p]
-            completed, q, mask = self._states[p]
-            c = k - completed
-            slack = n - p - 1 - sigma * c + q  # slack after a repeated symbol
+            d, mask = self._states[p]
+            slack = n - p - 1 - d  # slack after a repeated symbol
             if cur == sigma or slack < -1:
                 continue
             if slack == -1 and mask >> (cur + 1) == (1 << (sigma - cur)) - 1:
                 continue  # every larger symbol repeats, and repeats have no room
             repeats = (mask & ((2 << cur) - 1)).bit_count()
-            rem = (cur - repeats) * table.lookup(q + 1, slack + 1, c)
+            rem = (cur - repeats) * table.rows[d - 1][slack + 1]
             if slack >= 0:
-                rem += repeats * table.lookup(q, slack, c)
+                rem += repeats * table.rows[d][slack]
+            table.lookups += 1 + (slack >= 0)
             self._free = _descend(table, syms, self._states, p, rem)
             return
         raise AssertionError("no successor although next_rank < count")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .errors import AlphabetMismatch, LengthMismatch, ParseError, SymbolOutOfRange
+from .errors import AlphabetMismatch, ParseError, SymbolOutOfRange
 
 
 class _Value:
@@ -97,24 +97,6 @@ class Word(_Value):
 def make_word(symbols: Sequence[int], sigma: int) -> Word:
     """Build a word over {1..sigma}, validating every symbol."""
     return Word(tuple(symbols), _alphabet(sigma))
-
-
-def lex_compare(w: Word, v: Word) -> int:
-    """Compare equal-length words lexicographically: -1, 0 or 1."""
-    if w.alphabet != v.alphabet:
-        raise AlphabetMismatch(
-            f"cannot compare words over alphabets of size "
-            f"{w.alphabet.sigma} and {v.alphabet.sigma}"
-        )
-    if len(w.symbols) != len(v.symbols):
-        raise LengthMismatch(
-            f"cannot compare words of length {len(w.symbols)} and {len(v.symbols)}"
-        )
-    if w.symbols < v.symbols:
-        return -1
-    if w.symbols > v.symbols:
-        return 1
-    return 0
 
 
 # byte value s -> ASCII digit s, for words over at most nine symbols

@@ -188,6 +188,30 @@ def test_instrumentation_counters():
     assert t.lookups == before + 1
 
 
+def test_lookup_rejects_states_outside_the_arch():
+    t = build_table(8, 2, 2)
+    for q, c in ((3, 2), (-1, 1), (0, -1)):
+        with pytest.raises(IndexError):
+            t.lookup(q, 0, c)
+
+
+@pytest.mark.parametrize("n, k, sigma, stored", [(12, 2, 3, 55), (9, 4, 1, 34), (7, 0, 3, 8)])
+def test_table_stores_each_row_once(n, k, sigma, stored):
+    # every int reachable from the table's list attributes, each reference
+    # counted: an aliased row would be counted twice
+    t = build_table(n, k, sigma)
+    stack = [getattr(t, name) for name in type(t).__slots__]
+    stack = [v for v in stack if isinstance(v, (list, tuple))]
+    cells = 0
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, int):
+            cells += 1
+    assert cells == stored == t.build_ops == (n + 1) + k * sigma * (n - k * sigma + 1)
+
+
 @pytest.mark.parametrize("sigma", [1, 2, 3, 10, 37, 100])
 def test_free_suffix_conversions_match_per_position_loop(sigma):
     rng = random.Random(sigma)

@@ -173,6 +173,38 @@ def test_enumeration_carries_past_free_suffix_at_large_n(n, k, sigma):
         assert i + 1 == min(60, total - start)
 
 
+@pytest.mark.parametrize(
+    "shape, reads",
+    [
+        ((300, 10, 4), [182, 103, 130, 168]),
+        ((60, 25, 2), [119, 30, 16, 373]),
+        ((120, 3, 12), [205, 159, 155, 237]),
+    ],
+)
+def test_lookup_counts_are_exact(shape, reads):
+    # one unrank, the rank of that member, the rank of a random word and a
+    # 50-word slice, each counting one read per cell it takes
+    n, k, sigma = shape
+    t = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, t)
+    rng = random.Random(n * 1000 + k * 10 + sigma)
+    seen = []
+
+    def counted(call, *args):
+        before = t.lookups
+        result = call(*args)
+        seen.append(t.lookups - before)
+        return result
+
+    w = counted(unrank, rng.randrange(total), n, k, sigma, t)
+    assert counted(rank, w, k, t).member
+    counted(rank, make_word(rng.choices(range(1, sigma + 1), k=n), sigma), k, t)
+    start = rng.randrange(total)
+    words = counted(lambda: list(enumerate_words(n, k, sigma, start, limit=50, table=t)))
+    assert len(words) == 50
+    assert seen == reads
+
+
 def test_unrank_validates_table_parameters():
     t = build_table(4, 2, 2)
     with pytest.raises(ValueError):

@@ -7,13 +7,11 @@ from hypothesis import given, strategies as st
 from universal_words import (
     Alphabet,
     AlphabetMismatch,
-    LengthMismatch,
     ParseError,
     SymbolOutOfRange,
     UniversalWordsError,
     Word,
     format_word,
-    lex_compare,
     make_word,
     parse_word,
 )
@@ -133,42 +131,6 @@ def test_parse_overlong_number_without_int_limit():
         test_parse_comma_mode_rejects_overlong_number()
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def test_lex_compare_examples():
-    assert lex_compare(parse_word("1221", 2), parse_word("2112", 2)) == -1
-    assert lex_compare(parse_word("2112", 2), parse_word("1221", 2)) == 1
-    assert lex_compare(parse_word("1221", 2), parse_word("1221", 2)) == 0
-
-
-def test_lex_compare_mismatches():
-    with pytest.raises(LengthMismatch):
-        lex_compare(parse_word("12", 2), parse_word("121", 2))
-    with pytest.raises(AlphabetMismatch):
-        lex_compare(parse_word("12", 2), parse_word("12", 3))
-
-
-def _direct_compare(a, b):
-    # first differing position decides
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    return 0
-
-
-def test_lex_total_order_exhaustive_small():
-    from itertools import product
-
-    for n in range(0, 5):
-        words = [make_word(t, 2) for t in product((1, 2), repeat=n)]
-        for a in words:
-            for b in words:
-                assert lex_compare(a, b) == _direct_compare(a.symbols, b.symbols)
-        # antisymmetry and transitivity over the sorted sequence
-        for i, a in enumerate(words):
-            for b in words[i + 1 :]:
-                assert lex_compare(a, b) == -1
-                assert lex_compare(b, a) == 1
 
 
 @st.composite
