@@ -27,7 +27,7 @@ from .errors import (
     UniversalWordsError,
 )
 from .ranking import RankResult, rank
-from .unranking import EnumerationCursor, enumerate_words, unrank
+from .unranking import enumerate_words, unrank
 from .words import Alphabet, Word, format_word, make_word, parse_word
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "AlphabetMismatch",
     "ArchFactorization",
     "EmptySet",
-    "EnumerationCursor",
     "GuardExceeded",
     "InvalidK",
     "LengthMismatch",

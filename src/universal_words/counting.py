@@ -22,11 +22,16 @@ row before it. In generating-function terms every arch multiplies the series
 cells come out of the same pass as (sigma - q)! * (sigma!)**(c - 1), with c
 the arches still owed.
 
-Only slack m <= n - k*sigma is ever read when d >= 1: after i symbols owing d,
+Only slack m <= n - k*sigma is ever read: after i symbols owing d,
 i >= k*sigma - d, so the slack n - i - d of any completion is at most
-n - k*sigma. The chain rows for d >= 1 therefore stop there. The set of
-k-universal words of length n has size rows[k*sigma][n - k*sigma], or 0 when
-n < k*sigma.
+n - k*sigma. That holds for the powers too: rows[0] is read either after a
+symbol that closes the k-th arch, which the bound above covers, or by the
+base-sigma conversion of the free suffix after that arch, which is at most
+n - k*sigma symbols long and reads powers of at most half its length. So
+every row, the power row included, stops at slack n - k*sigma, and the table
+is a rectangle of (k*sigma + 1) * (n - k*sigma + 1) cells, empty when
+n < k*sigma. The set of k-universal words of length n has size
+rows[k*sigma][n - k*sigma], or 0 when n < k*sigma.
 """
 
 from __future__ import annotations
@@ -44,13 +49,13 @@ class SuffixCountTable:
     """The chain rows of suffix-completion counts for fixed (n, k, sigma).
 
     rows[d][m] counts the completions of a state owing d symbols with slack m
-    (see the module docstring): rows[0] is sigma**m for m <= n, and rows 1 to
-    k*sigma cover m <= n - k*sigma. Each row is stored once. Values are exact
-    arbitrary-precision integers. ``lookups`` counts cell reads: those of
-    lookup(), the power-row reads of free_suffix() and free_rank(), and the
-    reads that rank, unrank and enumeration make in place and add once per
-    call. ``build_ops`` is the number of cells built. Both are advisory
-    instrumentation, not value state.
+    (see the module docstring): rows[0] is sigma**m, and every row d = 0 to
+    k*sigma covers m <= n - k*sigma. Each row is stored once. Values are exact
+    arbitrary-precision integers. ``lookups`` counts cell reads: the one of
+    count_universal(), the power-row reads of free_suffix() and free_rank(),
+    and the reads that rank, unrank and enumeration make in place and add
+    once per call. ``build_ops`` is the number of cells built. Both are
+    advisory instrumentation, not value state.
     """
 
     __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
@@ -62,18 +67,6 @@ class SuffixCountTable:
         self.rows = rows
         self.build_ops = sum(map(len, rows))
         self.lookups = 0
-
-    def lookup(self, q: int, m: int, c: int) -> int:
-        """Counted read of the completions after q symbols of an open arch,
-        with c arches owed (the open one included) and slack m: row
-        c*sigma - q, or the power row when c = 0. Negative slack means no
-        completion exists."""
-        self.lookups += 1
-        if c < 0 or not 0 <= q <= self.sigma:
-            raise IndexError(f"no state with {q} open symbols and {c} arches owed")
-        if m < 0:
-            return 0
-        return self.rows[c * self.sigma - q if c else 0][m]
 
     def free_suffix(self, x: int, length: int) -> list[int]:
         """The free suffix of rank x among all sigma**length words: symbol j is
@@ -142,13 +135,13 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
         raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
 
 
-def _chain(n: int, k: int, sigma: int, top: int) -> Iterator[list[int]]:
-    """Yield row d = 0..k*sigma: sigma**m for m <= top, then m <= n - k*sigma."""
-    row = [1] * (top + 1)
-    for m in range(1, top + 1):
+def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
+    """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m."""
+    width = n - k * sigma + 1
+    row = [1] * width
+    for m in range(1, width):
         row[m] = row[m - 1] * sigma
     yield row
-    width = n - k * sigma + 1
     for d in range(1, k * sigma + 1):
         q = -d % sigma  # size of the open arch
         grow = sigma - q
@@ -162,24 +155,25 @@ def _chain(n: int, k: int, sigma: int, top: int) -> Iterator[list[int]]:
 
 
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
-    """Keep every row of the chain, (n + 1) + k*sigma*(n - k*sigma + 1) cells."""
+    """Keep every row of the chain: (k*sigma + 1) * (n - k*sigma + 1) cells,
+    none when n < k*sigma."""
     _check_params(n, k, sigma)
-    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma, n)))
+    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)))
 
 
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:
     """Exact number of k-universal words of length n over {1..sigma}.
 
-    Without a table only the current row of the chain is kept, and every row
-    stops at the slack n - k*sigma that the answer reads.
+    Without a table the same chain runs and only its current row is kept.
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
         return 0
     if table is not None:
-        return table.lookup(0, n - k * sigma, k)
+        table.lookups += 1
+        return table.rows[-1][-1]
     if k == 0:
         return sigma**n
-    for row in _chain(n, k, sigma, n - k * sigma):
+    for row in _chain(n, k, sigma):
         pass
-    return row[n - k * sigma]
+    return row[-1]

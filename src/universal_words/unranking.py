@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .counting import SuffixCountTable, _check_params, build_table, count_universal
+from collections.abc import Iterator
+
+from .counting import SuffixCountTable, build_table, count_universal
 from .errors import EmptySet, RankOutOfRange
 from .words import Word, _alphabet
 
@@ -61,82 +63,54 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
         raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
     if not 0 <= r < total:
         raise RankOutOfRange(r, total)
-    syms = [0] * n
-    _descend(table, syms, [(k * sigma, 0)] * (n + 1), 0, r)
-    return Word._trusted(tuple(syms), _alphabet(sigma))
+    return next(_stream(table, r, r + 1))
 
 
-class EnumerationCursor:
-    """Iterator over the k-universal words of length n, smallest first.
+def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
+    """The k-universal words of ranks r..stop-1, smallest first.
 
-    The first word is unranked by the same descent as unrank(), which keeps
-    the arch state after every position before the free suffix. Inside the
-    free suffix a successor adds one in base sigma and reads no table cell.
-    A carry past it moves to the rightmost arch position that still has a
-    viable larger symbol (a slack sign check), counts the completions up to
-    the current symbol there with two reads, and descends again from there.
+    The first word is unranked by _descend, which keeps the arch state after
+    every position before the free suffix; unrank() takes only this word.
+    Inside the free suffix a successor adds one in base sigma and reads no
+    table cell. A carry past it moves to the rightmost arch position that
+    still has a viable larger symbol (a slack sign check), counts the
+    completions up to the current symbol there with two reads, and descends
+    again from there.
     """
-
-    def __init__(self, table: SuffixCountTable, from_rank: int = 0, limit: int | None = None):
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be nonnegative, got {limit}")
-        self.table = table
-        self.count = count_universal(table.n, table.k, table.sigma, table)
-        if not 0 <= from_rank <= self.count:
-            raise RankOutOfRange(from_rank, self.count)
-        self.next_rank = from_rank
-        self._left = limit
-        self._alpha = _alphabet(table.sigma)
-        self._syms: list[int] | None = None
-        self._states: list[tuple[int, int]] = []
-        self._free = 0  # start of the free suffix of the current word
-
-    def __iter__(self) -> "EnumerationCursor":
-        return self
-
-    def __next__(self) -> Word:
-        if self._left is not None and self._left == 0:
-            raise StopIteration
-        if self.next_rank >= self.count:
-            raise StopIteration
-        if self._syms is None:
-            table = self.table
-            self._syms = [0] * table.n
-            self._states = [(table.k * table.sigma, 0)] * (table.n + 1)
-            self._free = _descend(table, self._syms, self._states, 0, self.next_rank)
-        else:
-            self._advance()
-        self.next_rank += 1
-        if self._left is not None:
-            self._left -= 1
-        return Word._trusted(tuple(self._syms), self._alpha)
-
-    def _advance(self) -> None:
-        table = self.table
-        n, sigma = table.n, table.sigma
-        syms = self._syms
-        free = self._free
+    if r >= stop:
+        return
+    n, sigma = table.n, table.sigma
+    rows = table.rows
+    alpha = _alphabet(sigma)
+    syms = [0] * n
+    states = [(table.k * sigma, 0)] * (n + 1)
+    free = _descend(table, syms, states, 0, r)  # start of the free suffix
+    yield Word._trusted(tuple(syms), alpha)
+    for _ in range(r + 1, stop):
         for p in range(n - 1, free - 1, -1):
             if syms[p] < sigma:
                 syms[p] += 1
-                return
+                break
             syms[p] = 1
-        for p in range(free - 1, -1, -1):
-            cur = syms[p]
-            d, mask = self._states[p]
-            slack = n - p - 1 - d  # slack after a repeated symbol
-            if cur == sigma or slack < -1:
-                continue
-            if slack == -1 and mask >> (cur + 1) == (1 << (sigma - cur)) - 1:
-                continue  # every larger symbol repeats, and repeats have no room
-            repeats = (mask & ((2 << cur) - 1)).bit_count()
-            rem = (cur - repeats) * table.rows[d - 1][slack + 1]
-            if slack >= 0:
-                rem += repeats * table.rows[d][slack]
-            table.lookups += 1 + (slack >= 0)
-            self._free = _descend(table, syms, self._states, p, rem)
-            return
-        raise AssertionError("no successor although next_rank < count")
+        else:
+            for p in range(free - 1, -1, -1):
+                cur = syms[p]
+                d, mask = states[p]
+                slack = n - p - 1 - d  # slack after a repeated symbol
+                if cur == sigma or slack < -1:
+                    continue
+                if slack == -1 and mask >> (cur + 1) == (1 << (sigma - cur)) - 1:
+                    continue  # every larger symbol repeats, and repeats have no room
+                repeats = (mask & ((2 << cur) - 1)).bit_count()
+                rem = (cur - repeats) * rows[d - 1][slack + 1]
+                if slack >= 0:
+                    rem += repeats * rows[d][slack]
+                table.lookups += 1 + (slack >= 0)
+                free = _descend(table, syms, states, p, rem)
+                break
+            else:
+                raise AssertionError("no successor although the rank is below the set size")
+        yield Word._trusted(tuple(syms), alpha)
 
 
 def enumerate_words(
@@ -146,10 +120,19 @@ def enumerate_words(
     from_rank: int = 0,
     limit: int | None = None,
     table: SuffixCountTable | None = None,
-) -> EnumerationCursor:
-    """Stream the k-universal words of length n in strictly increasing order."""
+) -> Iterator[Word]:
+    """Stream the k-universal words of length n in strictly increasing order.
+
+    The arguments are checked when this is called, not when the first word is
+    taken: a negative limit, a start rank outside 0..count, or a table built
+    for other parameters raise here.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     if table is None:
         table = build_table(n, k, sigma)
-    else:
-        _check_params(n, k, sigma, table)
-    return EnumerationCursor(table, from_rank, limit)
+    total = count_universal(n, k, sigma, table)
+    if not 0 <= from_rank <= total:
+        raise RankOutOfRange(from_rank, total)
+    stop = total if limit is None else min(total, from_rank + limit)
+    return _stream(table, from_rank, stop)

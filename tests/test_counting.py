@@ -9,8 +9,11 @@ from universal_words import (
     AlphabetMismatch,
     InvalidK,
     LengthMismatch,
+    RankResult,
     build_table,
     count_universal,
+    make_word,
+    rank,
 )
 from universal_words import counting
 from universal_words.oracle import brute_count, brute_enumerate
@@ -33,26 +36,34 @@ def _completion_count(q, m, c, sigma):
     return total
 
 
+def _cell(t, q, m, c):
+    """The completions after q symbols of an open arch with c arches owed (the
+    open one included) and slack m: row d = c*sigma - q, or 0 when c = 0."""
+    return t.rows[c * t.sigma - q if c else 0][m]
+
+
 def test_zero_slack_cells_are_forced_permutations():
     t = build_table(6, 3, 2)
-    assert t.lookup(1, 0, 2) == factorial(1) * factorial(2)
-    assert t.lookup(0, 0, 3) == factorial(2) ** 3
-    assert t.lookup(2, 0, 1) == 1
+    assert _cell(t, 1, 0, 2) == factorial(1) * factorial(2)
+    assert _cell(t, 0, 0, 3) == factorial(2) ** 3
+    assert _cell(t, 2, 0, 1) == 1
 
 
 def test_no_arches_left_cells_are_powers():
-    t = build_table(5, 1, 3)
-    for q in range(4):
-        assert t.lookup(q, 5, 0) == 3**5
+    assert build_table(8, 1, 3).rows[0][5] == 3**5
+    for sigma in (1, 2, 3):
+        for k in (1, 2, 3):
+            t = build_table(6 + k * sigma, k, sigma)
+            assert t.rows[0] == [sigma**m for m in range(7)]
 
 
 def test_single_cells_against_direct_enumeration():
     t2 = build_table(6, 2, 2)
-    assert t2.lookup(1, 1, 1) == 3
-    assert t2.lookup(1, 1, 2) == 8
+    assert _cell(t2, 1, 1, 1) == 3
+    assert _cell(t2, 1, 1, 2) == 8
     t3 = build_table(8, 2, 3)
-    assert t3.lookup(2, 1, 1) == _completion_count(2, 1, 1, 3)
-    assert t3.lookup(0, 2, 2) == _completion_count(0, 2, 2, 3)
+    assert _cell(t3, 2, 1, 1) == _completion_count(2, 1, 1, 3)
+    assert _cell(t3, 0, 2, 2) == _completion_count(0, 2, 2, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -63,20 +74,10 @@ def test_single_cells_against_direct_enumeration():
     c=st.integers(0, 2),
 )
 def test_cells_match_direct_enumeration(sigma, q, m, c):
-    q = min(q, sigma - 1)  # closed-arch column checked via its identity below
+    q = min(q, sigma - 1)  # q = sigma is the row of q = 0 with one arch fewer
     k = max(c, 1)
     t = build_table(m + k * sigma, k, sigma)  # slack m is stored up to n - k*sigma
-    assert t.lookup(q, m, c) == _completion_count(q, m, c, sigma)
-
-
-def test_closed_arch_column_identities():
-    for sigma in (1, 2, 3):
-        for k in (1, 2, 3):
-            t = build_table(6 + k * sigma, k, sigma)
-            for m in range(7):
-                assert t.lookup(sigma, m, 1) == sigma**m
-                for c in range(2, k + 1):
-                    assert t.lookup(sigma, m, c) == t.lookup(0, m, c - 1)
+    assert _cell(t, q, m, c) == _completion_count(q, m, c, sigma)
 
 
 def test_fresh_arch_column_is_sigma_times_first():
@@ -84,7 +85,7 @@ def test_fresh_arch_column_is_sigma_times_first():
         t = build_table(5 + 2 * sigma, 2, sigma)
         for m in range(6):
             for c in range(1, 3):
-                assert t.lookup(0, m, c) == sigma * t.lookup(1, m, c)
+                assert _cell(t, 0, m, c) == sigma * _cell(t, 1, m, c)
 
 
 def test_spot_counts():
@@ -125,18 +126,19 @@ def test_counts_match_state_walk_oracle_at_larger_n():
 
 def test_table_free_count_computes_no_unread_powers(monkeypatch):
     # sigma**m for m up to n costs O(n**2) bits; a count reads m <= n - k*sigma only
-    tops = []
+    widths = []
     chain = counting._chain
 
-    def recording(n, k, sigma, top):
-        tops.append(top)
-        return chain(n, k, sigma, top)
+    def recording(n, k, sigma):
+        rows = list(chain(n, k, sigma))
+        widths.append([len(row) for row in rows])
+        return iter(rows)
 
     monkeypatch.setattr(counting, "_chain", recording)
     assert count_universal(10**6, 0, 2) == 1 << 10**6
-    assert tops == []
+    assert widths == []
     assert count_universal(40, 3, 4) == brute_count(40, 3, 4)
-    assert tops == [40 - 3 * 4]
+    assert widths == [[40 - 3 * 4 + 1] * (3 * 4 + 1)]
 
 
 def test_count_monotone_in_k_and_bounded():
@@ -155,7 +157,7 @@ def test_rebuild_is_deterministic():
     for q in range(4):
         for m in range(8):
             for c in range(3):
-                assert a.lookup(q, m, c) == b.lookup(q, m, c)
+                assert _cell(a, q, m, c) == _cell(b, q, m, c)
 
 
 def test_count_accepts_prebuilt_table_and_rejects_wrong_one():
@@ -181,21 +183,16 @@ def test_parameters_raise_typed_errors():
 
 def test_instrumentation_counters():
     t = build_table(10, 2, 2)
-    # sigma**m for m <= 10, then k*sigma rows over slack m <= 10 - 2*2
-    assert t.build_ops == 11 + 2 * 2 * 7
+    # k*sigma + 1 rows, the powers included, over slack m <= 10 - 2*2
+    assert t.build_ops == 5 * 7
     before = t.lookups
-    t.lookup(0, 1, 1)
+    count_universal(10, 2, 2, t)
     assert t.lookups == before + 1
 
 
-def test_lookup_rejects_states_outside_the_arch():
-    t = build_table(8, 2, 2)
-    for q, c in ((3, 2), (-1, 1), (0, -1)):
-        with pytest.raises(IndexError):
-            t.lookup(q, 0, c)
-
-
-@pytest.mark.parametrize("n, k, sigma, stored", [(12, 2, 3, 55), (9, 4, 1, 34), (7, 0, 3, 8)])
+@pytest.mark.parametrize(
+    "n, k, sigma, stored", [(12, 2, 3, 49), (9, 4, 1, 30), (7, 0, 3, 8), (5, 2, 3, 0)]
+)
 def test_table_stores_each_row_once(n, k, sigma, stored):
     # every int reachable from the table's list attributes, each reference
     # counted: an aliased row would be counted twice
@@ -209,7 +206,17 @@ def test_table_stores_each_row_once(n, k, sigma, stored):
             stack.extend(item)
         elif isinstance(item, int):
             cells += 1
-    assert cells == stored == t.build_ops == (n + 1) + k * sigma * (n - k * sigma + 1)
+    assert cells == stored == t.build_ops == (k * sigma + 1) * (n - k * sigma + 1)
+
+
+def test_empty_set_table_still_ranks_every_word():
+    # n = k*sigma - 1: no completion has room, so the rows are empty and no
+    # rank reads a cell
+    t = build_table(5, 2, 3)
+    assert t.rows == [[]] * 7
+    for syms in product(range(1, 4), repeat=5):
+        assert rank(make_word(syms, 3), 2, t) == RankResult(0, False)
+    assert t.lookups == 0
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 3, 10, 37, 100])

@@ -4,7 +4,10 @@ import random
 import pytest
 
 from universal_words import (
+    AlphabetMismatch,
     EmptySet,
+    InvalidK,
+    LengthMismatch,
     RankOutOfRange,
     RankResult,
     arch_factorize,
@@ -126,11 +129,17 @@ def test_enumeration_of_empty_set_yields_nothing():
     assert list(enumerate_words(3, 2, 2)) == []
 
 
-def test_cursor_tracks_next_rank():
-    cursor = enumerate_words(5, 1, 2, from_rank=3)
-    assert cursor.next_rank == 3
-    next(cursor)
-    assert cursor.next_rank == 4
+def test_enumeration_rejects_bad_arguments_at_call_time():
+    # the words are produced lazily, but the checks must not wait for next()
+    t = build_table(6, 2, 2)
+    with pytest.raises(ValueError):
+        enumerate_words(6, 2, 2, limit=-1, table=t)
+    with pytest.raises(LengthMismatch):
+        enumerate_words(7, 2, 2, table=t)
+    with pytest.raises(InvalidK):
+        enumerate_words(6, 1, 2, table=t)
+    with pytest.raises(AlphabetMismatch):
+        enumerate_words(6, 2, 3, table=t)
 
 
 def test_cursor_lookup_delay_is_bounded():
