@@ -70,8 +70,8 @@ def _params(args) -> dict:
 
 
 def _cmd_count(args) -> int:
-    value = count_universal(args.n, args.k, args.sigma)
-    _emit(args, [str(value)], str(value))
+    text = str(count_universal(args.n, args.k, args.sigma))
+    _emit(args, [text], text)
     return 0
 
 

@@ -32,11 +32,42 @@ every row, the power row included, stops at slack n - k*sigma, and the table
 is a rectangle of (k*sigma + 1) * (n - k*sigma + 1) cells, empty when
 n < k*sigma. The set of k-universal words of length n has size
 rows[k*sigma][n - k*sigma], or 0 when n < k*sigma.
+
+A count alone needs no table. With M = n - k*sigma the generating function
+above gives |U| = (sigma!)**k [x**M] 1/Q(x), where
+
+    Q(x) = (1 - sigma x) * prod_{0<i<sigma} (1 - i x)**k
+
+has the poles 1/i, i = 1..sigma, of multiplicity m_i = k for i < sigma and
+m_sigma = 1, and degree D = (sigma - 1)*k + 1. By partial fractions
+(Flajolet & Sedgewick, Analytic Combinatorics, 2009, IV.5)
+
+    [x**M] 1/Q = sum_i i**M sum_{j<=m_i} A_ij C(M + j - 1, j - 1),
+
+with A_ij the coefficient of y**-j in the Laurent series of 1/Q at y = 0,
+where y = 1 - i x. There 1 - l x = ((i - l)/i) (1 + l y/(i - l)), so
+
+    1/Q = y**-m_i i**(D - m_i) / E_i * prod_{l != i} (1 + l y/(i - l))**-m_l,
+
+with E_i = prod_{l != i} (i - l)**m_l. Putting y = D_i z with
+D_i = prod_{l != i} (i - l) makes every s_l = l D_i/(i - l) an integer, so the
+product is a series sum_t b_t z**t with integer coefficients, built to
+t = m_i - 1 by m_l divisions by each (1 + s_l z): b[t] -= s_l * b[t - 1].
+Then A_ij = i**(D - m_i) b_(m_i - j) / (E_i D_i**(m_i - j)), and each pole
+contributes one fraction over E_i D_i**(m_i - 1). The fractions are joined
+over the lcm of their denominators and divided exactly, with an
+AssertionError on a remainder; nothing is rounded. The cost is about
+sum_i m_i (D - m_i) = D**2 - (sigma - 1)*k**2 - 1 small series steps plus
+sigma powers of M*log2(sigma) bits, against (M + 1)(k*sigma + 1) cells for
+the chain, so a count without a table takes partial fractions exactly when
+the first is at most the second, and the chain otherwise (when M is small
+against k*sigma).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from math import factorial, lcm, prod
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
@@ -161,10 +192,48 @@ def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)))
 
 
+def _count_by_poles(n: int, k: int, sigma: int) -> int:
+    """(sigma!)**k [x**M] 1/Q(x) in exact integers, by partial fractions over
+    the poles 1/i of Q (see the module docstring)."""
+    big_m = n - k * sigma
+    poles = range(1, sigma + 1)
+    mult = [0] + [k] * (sigma - 1) + [1]  # mult[i] of the pole 1/i
+    deg = (sigma - 1) * k + 1
+    nums = []
+    dens = []
+    for i in poles:
+        m_i = mult[i]
+        others = [l for l in poles if l != i]
+        d_i = prod(i - l for l in others)
+        # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1)
+        b = [1] + [0] * (m_i - 1)
+        for l in others:
+            s = l * d_i // (i - l)
+            for _ in range(mult[l]):
+                for t in range(1, m_i):
+                    b[t] -= s * b[t - 1]
+        acc = 0
+        binom = 1  # C(M + j - 1, j - 1)
+        power = 1  # d_i**(j - 1)
+        for j in range(1, m_i + 1):
+            acc += binom * power * b[m_i - j]
+            binom = binom * (big_m + j) // j
+            power *= d_i
+        nums.append(i ** (big_m + deg - m_i) * acc)
+        dens.append(prod((i - l) ** mult[l] for l in others) * d_i ** (m_i - 1))
+    common = lcm(*dens)
+    coeff, rem = divmod(sum(num * (common // den) for num, den in zip(nums, dens)), common)
+    if rem:
+        raise AssertionError("partial fractions left a nonzero remainder")
+    return coeff * factorial(sigma) ** k
+
+
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:
     """Exact number of k-universal words of length n over {1..sigma}.
 
-    Without a table the same chain runs and only its current row is kept.
+    With a table this is its last cell. Without one it is the partial-fraction
+    sum of the module docstring, or, when the chain has fewer cells than that
+    sum has series steps, the chain with only its current row kept.
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
@@ -174,6 +243,9 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
         return table.rows[-1][-1]
     if k == 0:
         return sigma**n
+    deg = (sigma - 1) * k + 1
+    if deg * deg - (sigma - 1) * k * k - 1 <= (n - k * sigma + 1) * (k * sigma + 1):
+        return _count_by_poles(n, k, sigma)
     for row in _chain(n, k, sigma):
         pass
     return row[-1]

@@ -300,5 +300,8 @@ def test_cli_imports_only_what_a_command_needs():
     count, modules = proc.stdout.splitlines()
     loaded = set(modules.split())
     assert count == "4" and "universal_words.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "json", "typing", "universal_words.oracle"}
+    unwanted = {
+        "dataclasses", "decimal", "fractions", "inspect", "json", "typing",
+        "universal_words.oracle",
+    }
     assert not loaded & unwanted

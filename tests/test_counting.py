@@ -16,6 +16,7 @@ from universal_words import (
     rank,
 )
 from universal_words import counting
+from universal_words.closed_forms import count_one_universal
 from universal_words.oracle import brute_count, brute_enumerate
 
 
@@ -137,8 +138,62 @@ def test_table_free_count_computes_no_unread_powers(monkeypatch):
     monkeypatch.setattr(counting, "_chain", recording)
     assert count_universal(10**6, 0, 2) == 1 << 10**6
     assert widths == []
+    # (16, 3, 4): 72 series steps against 5 * 13 cells, so the chain runs
+    assert count_universal(16, 3, 4) == brute_count(16, 3, 4)
+    assert widths == [[16 - 3 * 4 + 1] * (3 * 4 + 1)]
+    # partial fractions are cheaper here: no chain
     assert count_universal(40, 3, 4) == brute_count(40, 3, 4)
-    assert widths == [[40 - 3 * 4 + 1] * (3 * 4 + 1)]
+    count_universal(2000, 20, 10)
+    assert len(widths) == 1
+
+
+def _chained(monkeypatch, n, k, sigma):
+    """count_universal(n, k, sigma) and whether it ran the chain."""
+    calls = []
+    chain = counting._chain
+    monkeypatch.setattr(counting, "_chain", lambda *a: calls.append(a) or chain(*a))
+    count = count_universal(n, k, sigma)
+    monkeypatch.undo()
+    return count, calls == [(n, k, sigma)]
+
+
+def test_table_free_count_equals_table_count_small_grid():
+    for sigma in range(1, 8):
+        for k in range(8):
+            for n in range(50):
+                expected = count_universal(n, k, sigma, build_table(n, k, sigma))
+                assert count_universal(n, k, sigma) == expected, (n, k, sigma)
+
+
+@pytest.mark.parametrize("k, sigma", [(1, 10), (5, 3), (3, 4), (20, 10), (2, 40)])
+def test_table_free_count_agrees_on_both_sides_of_the_switch(monkeypatch, k, sigma):
+    deg = (sigma - 1) * k + 1
+    steps = deg * deg - (sigma - 1) * k * k - 1
+    # the least slack M with (M + 1)(k*sigma + 1) >= steps
+    first = -(-steps // (k * sigma + 1)) - 1
+    assert first > 0
+    for n, chained in ((k * sigma + first - 1, True), (k * sigma + first, False)):
+        expected = count_universal(n, k, sigma, build_table(n, k, sigma))
+        assert _chained(monkeypatch, n, k, sigma) == (expected, chained)
+        assert counting._count_by_poles(n, k, sigma) == expected
+
+
+def test_large_n_count_at_k_one_is_inclusion_exclusion():
+    assert count_universal(10**5, 1, 10) == count_one_universal(10**5, 10)
+
+
+@pytest.mark.parametrize("n, k, sigma", [(10**5, 2, 3), (5 * 10**4, 3, 4)])
+def test_large_n_counts_satisfy_the_recurrence_of_q(n, k, sigma):
+    # Q(x) = (1 - sigma x) prod_{0<i<sigma} (1 - i x)**k multiplied out; its
+    # coefficients annihilate the counts, which are (sigma!)**k [x**M] 1/Q
+    q = [1]
+    for root in [sigma] + [i for i in range(1, sigma) for _ in range(k)]:
+        q = [a - root * b for a, b in zip(q + [0], [0] + q)]
+    counts = [count_universal(n - t, k, sigma) for t in range(len(q))]
+    assert sum(c * u for c, u in zip(q, counts)) == 0
+    block = factorial(sigma) ** k
+    assert all(u % block == 0 for u in counts)
+    assert counts[0] > counts[1] > 0
 
 
 def test_count_monotone_in_k_and_bounded():

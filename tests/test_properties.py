@@ -5,7 +5,7 @@ row of the table, m = n - k*sigma. k = 0 makes the whole word a free suffix,
 and sigma up to 40 goes past 36, the largest base int() reads from text.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from universal_words import (
     RankResult,
@@ -50,3 +50,13 @@ def test_large_n_rank_unrank_enumerate_agree(nks, data):
         assert following[1] == unrank(r + 1, n, k, sigma, table)
     else:
         assert len(following) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(params())
+@example((11, 4, 3))
+@example((79, 2, 40))
+def test_table_free_count_equals_table_count(nks):
+    n, k, sigma = nks
+    table = build_table(n, k, sigma)
+    assert count_universal(n, k, sigma) == count_universal(n, k, sigma, table)
