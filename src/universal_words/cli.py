@@ -79,10 +79,11 @@ def _cmd_rank(args) -> int:
     word = parse_word(args.word, args.sigma)
     table = build_table(len(word), args.k, args.sigma)
     result = rank(word, args.k, table)
+    text = str(result.rank)
     _emit(
         args,
-        [str(result.rank), f"member: {'true' if result.member else 'false'}"],
-        {"rank": str(result.rank), "member": result.member},
+        [text, f"member: {'true' if result.member else 'false'}"],
+        {"rank": text, "member": result.member},
     )
     return 0
 

@@ -62,12 +62,11 @@ def brute_is_k_universal(w: Word, k: int) -> bool:
     return _every_pattern_embeds(rows, n, sigma, k)
 
 
-def brute_universality_index(w: Word, cap: int | None = None) -> int:
-    """Largest k (up to cap) passing brute_is_k_universal."""
+def brute_universality_index(w: Word) -> int:
+    """Largest k passing brute_is_k_universal."""
     sigma = w.alphabet.sigma
     n = len(w.symbols)
-    if cap is None:
-        cap = n // sigma  # every symbol must occur k times, so k <= n / sigma
+    cap = n // sigma  # every symbol must occur k times, so k <= n / sigma
     rows = _occurrence_rows(w.symbols, sigma, n)
     k = 0
     while k < cap:

@@ -21,6 +21,7 @@ def _descend(
     to states[j + 1]. Once k arches have closed every suffix completes the
     word, so the rest is the base-sigma digits of what is left of rem, filled
     in one conversion (table.free_suffix). Returns where that free suffix starts.
+    unrank() descends from j = 0; an enumeration carry descends at rem = 0.
     """
     n, sigma = table.n, table.sigma
     rows = table.rows
@@ -72,15 +73,14 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     The first word is unranked by _descend, which keeps the arch state after
     every position before the free suffix; unrank() takes only this word.
     Inside the free suffix a successor adds one in base sigma and reads no
-    table cell. A carry past it moves to the rightmost arch position that
-    still has a viable larger symbol (a slack sign check), counts the
-    completions up to the current symbol there with two reads, and descends
-    again from there.
+    table cell. A carry past it bumps the rightmost arch position p that can
+    take a larger symbol, reading no cell: a prefix owing d symbols at p
+    completes iff n - p >= d, so with n - p == d only a new symbol fits. The
+    next word is the smallest completion, a descent from p + 1 at rank 0.
     """
     if r >= stop:
         return
     n, sigma = table.n, table.sigma
-    rows = table.rows
     alpha = _alphabet(sigma)
     syms = [0] * n
     states = [(table.k * sigma, 0)] * (n + 1)
@@ -94,22 +94,21 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
             syms[p] = 1
         else:
             for p in range(free - 1, -1, -1):
-                cur = syms[p]
                 d, mask = states[p]
-                slack = n - p - 1 - d  # slack after a repeated symbol
-                if cur == sigma or slack < -1:
-                    continue
-                if slack == -1 and mask >> (cur + 1) == (1 << (sigma - cur)) - 1:
-                    continue  # every larger symbol repeats, and repeats have no room
-                repeats = (mask & ((2 << cur) - 1)).bit_count()
-                rem = (cur - repeats) * rows[d - 1][slack + 1]
-                if slack >= 0:
-                    rem += repeats * rows[d][slack]
-                table.lookups += 1 + (slack >= 0)
-                free = _descend(table, syms, states, p, rem)
-                break
+                x = syms[p] + 1
+                if n - p == d:  # no free slot: skip the symbols that repeat
+                    while mask >> x & 1:
+                        x += 1
+                if x <= sigma:
+                    break
             else:
                 raise AssertionError("no successor although the rank is below the set size")
+            syms[p] = x
+            if not mask >> x & 1:
+                d -= 1
+                mask = 0 if d % sigma == 0 else mask | 1 << x
+            states[p + 1] = (d, mask)
+            free = _descend(table, syms, states, p + 1, 0)
         yield Word._trusted(tuple(syms), alpha)
 
 

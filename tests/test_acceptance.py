@@ -29,7 +29,7 @@ def _members_by_k(n, sigma):
     """Member tuples of every k <= n / sigma, from one pass over all sigma**n words."""
     members = [[] for _ in range(n // sigma + 1)]
     for tup in product(range(1, sigma + 1), repeat=n):
-        index = brute_universality_index(make_word(tup, sigma), cap=n // sigma)
+        index = brute_universality_index(make_word(tup, sigma))
         for k in range(index + 1):
             members[k].append(tup)
     return tuple(map(tuple, members))

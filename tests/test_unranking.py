@@ -152,7 +152,16 @@ def test_cursor_lookup_delay_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "n, k, sigma", [(300, 10, 4), (200, 60, 3), (120, 3, 12), (100, 2, 40), (400, 0, 3), (60, 25, 2)]
+    "n, k, sigma",
+    [
+        (300, 10, 4),
+        (200, 60, 3),
+        (120, 3, 12),
+        (100, 2, 40),
+        (400, 0, 3),
+        (60, 25, 2),
+        (1000, 450, 2),
+    ],
 )
 def test_enumeration_carries_past_free_suffix_at_large_n(n, k, sigma):
     # beyond the oracle's reach: slices that start 3 ranks before a carry out of
@@ -186,7 +195,7 @@ def test_enumeration_carries_past_free_suffix_at_large_n(n, k, sigma):
     "shape, reads",
     [
         ((300, 10, 4), [182, 103, 130, 168]),
-        ((60, 25, 2), [119, 30, 16, 373]),
+        ((60, 25, 2), [119, 30, 16, 267]),
         ((120, 3, 12), [205, 159, 155, 237]),
     ],
 )
