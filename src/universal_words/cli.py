@@ -69,8 +69,53 @@ def _params(args) -> dict:
     return out
 
 
+# Above this many bits (about 15,000 decimal digits) a count or rank is
+# printed through decimal.Decimal: on Python 3.11 str(int) is quadratic in the
+# digits, and splitting the bits in halves joined by powers of two in Decimal,
+# whose products are subquadratic, overtakes it there, its import included.
+# At 100,000 digits it takes about 35 ms against 170 ms for str().
+_STR_BITS = 50_000
+
+
+def _decimal_text(value: int) -> str:
+    """str(value) for an int value >= 0, in subquadratic time when it is long."""
+    bits = value.bit_length()
+    if bits <= _STR_BITS:
+        return str(value)
+    import decimal
+
+    # nothing may round: Inexact raises instead
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    with decimal.localcontext(context):
+        return str(_to_decimal(value, bits, {}, decimal.Decimal))
+
+
+def _to_decimal(value: int, bits: int, powers: dict, dec):
+    """0 <= value < 2**bits as a Decimal: its high and low bits converted
+    apart and joined by 2**half, each power of two made once in powers."""
+    if bits <= 1024:
+        return dec(value)
+    half = bits >> 1
+    high = _to_decimal(value >> half, bits - half, powers, dec)
+    low = _to_decimal(value & ((1 << half) - 1), half, powers, dec)
+    return high * _power_of_two(half, powers, dec) + low
+
+
+def _power_of_two(w: int, powers: dict, dec):
+    p = powers.get(w)
+    if p is None:
+        if w <= 1024:
+            p = dec(1 << w)
+        else:
+            p = _power_of_two(w >> 1, powers, dec) * _power_of_two(w - (w >> 1), powers, dec)
+        powers[w] = p
+    return p
+
+
 def _cmd_count(args) -> int:
-    text = str(count_universal(args.n, args.k, args.sigma))
+    text = _decimal_text(count_universal(args.n, args.k, args.sigma))
     _emit(args, [text], text)
     return 0
 
@@ -79,7 +124,7 @@ def _cmd_rank(args) -> int:
     word = parse_word(args.word, args.sigma)
     table = build_table(len(word), args.k, args.sigma)
     result = rank(word, args.k, table)
-    text = str(result.rank)
+    text = _decimal_text(result.rank)
     _emit(
         args,
         [text, f"member: {'true' if result.member else 'false'}"],

@@ -71,9 +71,14 @@ from math import factorial, lcm, prod
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
-# The free-suffix conversions split segments longer than this; shorter ones
-# take one small divmod or Horner step per symbol.
+# The free-suffix conversions split segments longer than this. A shorter
+# segment of the split takes one small divmod per symbol; one of the join is
+# read by int() in base sigma, symbol s being base-36 digit s - 1, when
+# 2 <= sigma <= 36 (the bases int() accepts), else by one Horner step per
+# symbol. Wider leaves would make the join cheaper still, but every split
+# reads one power, and the lookup counts that tests pin follow this size.
 _LEAF = 32
+_BASE36 = bytes.maketrans(bytes(range(1, 37)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 
 
 class SuffixCountTable:
@@ -134,6 +139,8 @@ class SuffixCountTable:
     def _join(self, syms: Sequence[int], lo: int, hi: int) -> int:
         if hi - lo <= _LEAF:
             sigma = self.sigma
+            if 2 <= sigma <= 36 and lo < hi:
+                return int(bytes(syms[lo:hi]).translate(_BASE36), sigma)
             x = 0
             for j in range(lo, hi):
                 x = x * sigma + syms[j] - 1

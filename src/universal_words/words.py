@@ -111,15 +111,55 @@ def format_word(w: Word) -> str:
     return (",%d" * len(symbols))[1:] % symbols
 
 
+class _Tokens(dict):
+    """Canonical token text -> symbol for one sigma: "1" .. str(sigma), no
+    leading zero. Filled on first sight, so it never holds more entries than
+    distinct tokens seen; any other key raises KeyError and is not stored."""
+
+    __slots__ = ("sigma", "width")
+
+    def __init__(self, sigma: int):
+        self.sigma = sigma
+        self.width = len(str(sigma))
+
+    def __missing__(self, token: str) -> int:
+        if token.isascii() and token.isdigit() and token[0] != "0" and len(token) <= self.width:
+            value = int(token)
+            if value <= self.sigma:
+                self[token] = value
+                return value
+        raise KeyError(token)
+
+
+@lru_cache(maxsize=32)
+def _tokens(sigma: int) -> _Tokens:
+    return _Tokens(sigma)
+
+
+# ASCII digit d -> byte value d, for words over at most nine symbols
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_word(text: str, sigma: int) -> Word:
     """Inverse of format_word. Empty text parses to the empty word.
 
     Only the ASCII digits 0-9 are accepted, never other Unicode digits. In
     comma mode a number with more digits than sigma is a ParseError, so no
     token is converted whatever its length.
+
+    Well-formed text is read in C: in digit mode by deleting the allowed
+    digits with bytes.translate and mapping the rest to symbols, in comma mode
+    by one lookup per token in the _Tokens table of canonical tokens. Anything
+    else (leading zeros, empty tokens, other characters, values out of range)
+    falls through to a loop over characters or tokens, which accepts what is
+    valid and reports the first bad position.
     """
     alphabet = _alphabet(sigma)
     if sigma <= 9:
+        if text.isascii():
+            data = text.encode()
+            if not data.translate(None, b"123456789"[:sigma]):
+                return Word._trusted(tuple(data.translate(_FROM_DIGITS)), alphabet)
         symbols = []
         for pos, ch in enumerate(text, 1):
             value = ord(ch) - 48  # "0".."9" -> 0..9; every other character falls outside
@@ -131,21 +171,13 @@ def parse_word(text: str, sigma: int) -> Word:
         return Word._trusted(tuple(symbols), alphabet)
     if text == "":
         return Word._trusted((), alphabet)
-    width = len(str(sigma))
     tokens = text.split(",")
-    # Fast path in string methods: ASCII digits and commas only, no empty
-    # token, none longer than sigma's digits, every value in range. Anything
-    # else, leading zeros included, goes through the loop below, which finds
-    # and reports the first bad token.
-    if (
-        text.isascii()
-        and text.replace(",", "").isdigit()
-        and "" not in tokens
-        and max(map(len, tokens)) <= width
-    ):
-        symbols = tuple(map(int, tokens))
-        if 1 <= min(symbols) and max(symbols) <= sigma:
-            return Word._trusted(symbols, alphabet)
+    table = _tokens(sigma)
+    try:
+        return Word._trusted(tuple(map(table.__getitem__, tokens)), alphabet)
+    except KeyError:
+        pass
+    width = table.width
     symbols = []
     offset = 1  # 1-based character position of the current token
     for token in tokens:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -259,6 +260,35 @@ def test_count_beyond_int_str_limit(capsys):
     assert len(out) == 5001 and out.endswith("\n")
     assert Decimal(out) == count_universal(5000, 1, 10)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.fixture
+def no_int_str_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_text_matches_str(no_int_str_limit):
+    switch = len(str(1 << cli._STR_BITS))  # digits where str() hands over to Decimal
+    values = [0, 9, 10, 1 << cli._STR_BITS, (1 << cli._STR_BITS) + 1]
+    for j in range(switch - 2, switch + 3):
+        values += [10**j - 1, 10**j, 10**j + 1]
+    values.append(random.Random(5).randrange(10**99_999, 10**100_000))
+    for value in values:
+        assert cli._decimal_text(value) == str(value)
+
+
+def test_long_results_print_like_str(capsys, no_int_str_limit):
+    expected = str(count_universal(20_000, 1, 10))
+    assert len(expected) > len(str(1 << cli._STR_BITS))
+    argv = ("count", "--n", "20000", "--k", "1", "--sigma", "10")
+    assert run_cli(capsys, *argv) == (0, expected + "\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert (code, json.loads(out)["result"]) == (0, expected)
 
 
 def test_symbol_out_of_range_exits_2(capsys):

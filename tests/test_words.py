@@ -155,3 +155,81 @@ def test_word_is_hashable_and_repr_readable():
     w = make_word([2, 1], 2)
     assert w in {w}
     assert repr(w) == "Word('21', sigma=2)"
+
+
+def reference_parse(text, sigma):
+    """parse_word as one loop over characters (sigma <= 9) or tokens."""
+    if sigma <= 9:
+        symbols = []
+        for pos, ch in enumerate(text, 1):
+            value = ord(ch) - 48
+            if not 1 <= value <= sigma:
+                if not 0 <= value <= 9:
+                    raise ParseError(pos, f"expected a digit, got {ch!r}")
+                raise SymbolOutOfRange(pos, value)
+            symbols.append(value)
+        return make_word(symbols, sigma)
+    if text == "":
+        return make_word((), sigma)
+    width = len(str(sigma))
+    symbols = []
+    offset = 1
+    for token in text.split(","):
+        if not (token.isascii() and token.isdigit()):
+            raise ParseError(offset, f"expected a number, got {token!r}")
+        if len(token) > width and len(token.lstrip("0")) > width:
+            raise ParseError(offset, f"{len(token)}-digit number exceeds sigma={sigma}")
+        value = int(token)
+        if not 1 <= value <= sigma:
+            raise SymbolOutOfRange(len(symbols) + 1, value)
+        symbols.append(value)
+        offset += len(token) + 1
+    return make_word(symbols, sigma)
+
+
+def assert_parses_like_reference(text, sigma):
+    try:
+        expected = reference_parse(text, sigma)
+    except UniversalWordsError as err:
+        with pytest.raises(type(err)) as info:
+            parse_word(text, sigma)
+        assert str(info.value) == str(err)
+        assert info.value.position == err.position
+    else:
+        assert parse_word(text, sigma) == expected
+
+
+@given(st.text("0123456789,x\u0663", max_size=30), st.sampled_from([1, 2, 9, 10, 12, 99, 100]))
+def test_parse_matches_reference_loop(text, sigma):
+    assert_parses_like_reference(text, sigma)
+
+
+def test_parse_matches_reference_loop_on_edge_cases():
+    assert parse_word("01,10", 12).symbols == (1, 10)
+    assert parse_word("1,0012", 12).symbols == (1, 12)
+    for sigma in (1, 2, 9, 10, 12, 99, 100):
+        sep = "" if sigma <= 9 else ","
+        ok = sep.join(map(str, range(1, sigma + 1)))
+        for text in ("01,10", "1,0012", "0", str(sigma + 1), ok, ok + sep + "0"):
+            assert_parses_like_reference(text, sigma)
+        for bad in ("\u0663" + sep + ok, ok + sep + "\u0663" + sep + ok, ok + sep + "\u0663"):
+            with pytest.raises(ParseError):
+                parse_word(bad, sigma)
+            assert_parses_like_reference(bad, sigma)
+    with pytest.raises(SymbolOutOfRange) as info:
+        parse_word("1,2,0", 12)
+    assert (info.value.position, info.value.value) == (3, 0)
+    with pytest.raises(SymbolOutOfRange) as info:
+        parse_word("1,13", 12)
+    assert (info.value.position, info.value.value) == (2, 13)
+
+
+def test_parse_token_table_holds_only_tokens_seen():
+    from universal_words.words import _tokens
+
+    sigma = 10**9 + 7
+    parse_word("5,1000000000,5", sigma)
+    for bad in ("05", "1000000008", "", "\u0663"):
+        with pytest.raises(UniversalWordsError):
+            parse_word(f"5,{bad},x", sigma)
+    assert sorted(_tokens(sigma)) == ["1000000000", "5"]
