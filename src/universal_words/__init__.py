@@ -4,7 +4,7 @@ A word over {1..sigma} is k-universal when every length-k word over the same
 alphabet occurs in it as a subsequence. This package counts those words
 exactly, ranks and unranks them lexicographically, streams them in order with
 bounded per-word work, exposes the greedy arch factorization behind all of it,
-and ships naive brute-force oracles to validate everything against.
+and ships a naive brute-force enumeration to validate the fast paths against.
 """
 
 from .arches import (

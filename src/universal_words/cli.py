@@ -151,11 +151,25 @@ def _cmd_enum(args) -> int:
     import json
 
     # every line is json.dumps({"command", "params", "result"}); only the
-    # result changes, and its rank and word hold nothing that needs escaping
+    # result changes, and its rank and word hold nothing that needs escaping.
+    # The rank is kept as decimal text and incremented digit by digit:
+    # converting each rank from int would be quadratic in its digits.
     head = json.dumps({"command": "enum", "params": _params(args)})[:-1]
-    for r, word in enumerate(cursor, args.from_rank):
-        print(head + ', "result": {"rank": "%d", "word": "%s"}}' % (r, format_word(word)))
+    text = _decimal_text(args.from_rank)
+    for word in cursor:
+        print(head + ', "result": {"rank": "%s", "word": "%s"}}' % (text, format_word(word)))
+        text = _successor(text)
     return 0
+
+
+def _successor(text: str) -> str:
+    """The decimal text of int(text) + 1: the trailing 9s become 0s and the
+    digit before them goes up by one."""
+    head = text.rstrip("9")
+    zeros = "0" * (len(text) - len(head))
+    if not head:
+        return "1" + zeros
+    return head[:-1] + chr(ord(head[-1]) + 1) + zeros
 
 
 def _cmd_arch(args) -> int:

@@ -72,13 +72,17 @@ from math import factorial, lcm, prod
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
 # The free-suffix conversions split segments longer than this. A shorter
-# segment of the split takes one small divmod per symbol; one of the join is
-# read by int() in base sigma, symbol s being base-36 digit s - 1, when
-# 2 <= sigma <= 36 (the bases int() accepts), else by one Horner step per
-# symbol. Wider leaves would make the join cheaper still, but every split
-# reads one power, and the lookup counts that tests pin follow this size.
+# segment of the split is written by one format() in base sigma, digit c
+# being symbol c + 1, when sigma is 2, 8, 10 or 16 (the bases format() writes),
+# else by one small divmod per symbol; one of the join is read by int() in
+# base sigma, symbol s being base-36 digit s - 1, when 2 <= sigma <= 36 (the
+# bases int() accepts), else by one Horner step per symbol. Wider leaves
+# would make both cheaper still, but every split reads one power, and the
+# lookup counts that tests pin follow this size.
 _LEAF = 32
 _BASE36 = bytes.maketrans(bytes(range(1, 37)), b"0123456789abcdefghijklmnopqrstuvwxyz")
+_FORMAT_CODE = {2: "b", 8: "o", 10: "d", 16: "x"}
+_FROM_BASE16 = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
 
 
 class SuffixCountTable:
@@ -106,7 +110,11 @@ class SuffixCountTable:
 
     def free_suffix(self, x: int, length: int) -> list[int]:
         """The free suffix of rank x among all sigma**length words: symbol j is
-        base-sigma digit j of x (most significant first) plus one."""
+        base-sigma digit j of x (most significant first) plus one.
+
+        For sigma in {2, 8, 10, 16} each leaf of the split is written in C by
+        format(), as the join reads its leaves by int() for sigma <= 36.
+        Raises AssertionError when x >= sigma**length."""
         out = [0] * length
         self._split(x, out, 0, length)
         return out
@@ -124,11 +132,21 @@ class SuffixCountTable:
     # call alive until the cyclic garbage collector runs.
 
     def _split(self, x: int, out: list[int], lo: int, hi: int) -> None:
-        if hi - lo <= _LEAF:
+        width = hi - lo
+        if width <= _LEAF:
+            code = _FORMAT_CODE.get(self.sigma)
+            if code and width:
+                digits = format(x, f"0{width}{code}").encode().translate(_FROM_BASE16)
+                if len(digits) != width:
+                    raise AssertionError("free suffix rank exceeds sigma**length")
+                out[lo:hi] = digits
+                return
             sigma = self.sigma
             for j in range(hi - 1, lo - 1, -1):
                 x, d = divmod(x, sigma)
                 out[j] = d + 1
+            if x:
+                raise AssertionError("free suffix rank exceeds sigma**length")
             return
         mid = (lo + hi) // 2
         self.lookups += 1

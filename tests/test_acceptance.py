@@ -18,10 +18,11 @@ from universal_words.closed_forms import (
     count_one_universal,
 )
 from universal_words.counting import build_table, count_universal
-from universal_words.oracle import brute_is_k_universal, brute_universality_index
 from universal_words.ranking import rank
 from universal_words.unranking import enumerate_words, unrank
 from universal_words.words import format_word, make_word, parse_word
+
+from brute_force import brute_is_k_universal, brute_universality_index
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ from universal_words import (
     parse_word,
     universality_index,
 )
-from universal_words.oracle import brute_universality_index
+
+from brute_force import brute_universality_index
 
 FIG_W = parse_word("11234432122314332144", 4)
 FIG_V = parse_word("12234323134112344412", 4)

@@ -177,6 +177,12 @@ def test_json_enum_one_object_per_line(capsys):
          {"n": 60, "k": 2, "sigma": 10, "from": "10" * 25, "limit": 5}),
         (["--n", "5", "--k", "1", "--sigma", "5", "--limit", "0"],
          {"n": 5, "k": 1, "sigma": 5, "from": "0", "limit": 0}),
+        # the rank carries through a run of 9s
+        (["--n", "60", "--k", "2", "--sigma", "10", "--from", "9" * 30 + "7", "--limit", "6"],
+         {"n": 60, "k": 2, "sigma": 10, "from": "9" * 30 + "7", "limit": 6}),
+        # ranks of 96 digits, carrying into a 97th
+        (["--n", "210", "--k", "0", "--sigma", "3", "--from", "9" * 95 + "8", "--limit", "4"],
+         {"n": 210, "k": 0, "sigma": 3, "from": "9" * 95 + "8", "limit": 4}),
     ],
 )
 def test_json_enum_lines_equal_json_dumps(capsys, argv, params):

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import product
 from math import factorial
 
@@ -17,7 +18,9 @@ from universal_words import (
 )
 from universal_words import counting
 from universal_words.closed_forms import count_one_universal
-from universal_words.oracle import brute_count, brute_enumerate
+from universal_words.oracle import brute_enumerate
+
+from brute_force import brute_count
 
 
 def _completion_count(q, m, c, sigma):
@@ -274,7 +277,7 @@ def test_empty_set_table_still_ranks_every_word():
     assert t.lookups == 0
 
 
-@pytest.mark.parametrize("sigma", [1, 2, 3, 10, 36, 37, 100])
+@pytest.mark.parametrize("sigma", [1, 2, 3, 8, 10, 16, 36, 37, 100])
 def test_free_suffix_conversions_match_per_position_loop(sigma):
     rng = random.Random(sigma)
     for length in (0, 1, 31, 32, 33, 64, 65, 299):
@@ -302,3 +305,26 @@ def test_free_suffix_power_reads_are_counted():
     assert 0 < reads <= 299 // 16
     t.free_rank(syms, 0)
     assert t.lookups - before == 2 * reads
+
+
+@pytest.mark.parametrize("sigma", [3, 10])  # a divmod leaf and a format() leaf
+@pytest.mark.parametrize("length", [5, 70])  # one leaf, and a split whose top leaf overflows
+def test_free_suffix_rejects_rank_beyond_its_length(sigma, length):
+    t = build_table(length, 0, sigma)
+    with pytest.raises(AssertionError):
+        t.free_suffix(sigma**length, length)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+def test_free_suffix_converts_no_more_than_a_leaf_to_text():
+    # a whole-width decimal conversion of 5000 digits would exceed the limit
+    n = 5000
+    t = build_table(n, 0, 10)
+    x = random.Random(5).randrange(10**n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        syms = t.free_suffix(x, n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert t.free_rank(syms, 0) == x

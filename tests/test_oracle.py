@@ -3,13 +3,9 @@ from itertools import product
 import pytest
 
 from universal_words import GuardExceeded, format_word, make_word, parse_word
-from universal_words.oracle import (
-    brute_count,
-    brute_enumerate,
-    brute_is_k_universal,
-    brute_rank,
-    brute_universality_index,
-)
+from universal_words.oracle import brute_enumerate
+
+from brute_force import brute_count, brute_is_k_universal, brute_rank, brute_universality_index
 
 
 def test_fixture_words():

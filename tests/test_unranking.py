@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 
 import pytest
 
@@ -68,6 +69,27 @@ def test_round_trips_through_long_free_suffixes():
         for r in (0, 1, total - 1, rng.randrange(total)):
             w = unrank(r, n, k, sigma, t)
             assert rank(w, k, t) == RankResult(r, True)
+
+
+@pytest.mark.parametrize("sigma, code", [(2, "b"), (8, "o"), (10, "d"), (16, "x")])
+def test_unrank_at_k_zero_is_one_whole_width_format(sigma, code):
+    # k = 0: the word of rank r is the n base-sigma digits of r, each plus one,
+    # here read off a single format() of r instead of the split into leaves
+    n = 5000
+    t = build_table(n, 0, sigma)
+    rng = random.Random(sigma)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for r in (0, sigma**n - 1, rng.randrange(sigma**n)):
+            want = tuple(int(c, 16) + 1 for c in format(r, f"0{n}{code}"))
+            w = unrank(r, n, 0, sigma, t)
+            assert w.symbols == want
+            assert rank(w, 0, t) == RankResult(r, True)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_free_suffix_conversions_leave_no_reference_cycles():
