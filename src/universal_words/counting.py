@@ -71,15 +71,17 @@ from math import factorial, lcm, prod
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
-# The free-suffix conversions split segments longer than this. A shorter
-# segment of the split is written by one format() in base sigma, digit c
-# being symbol c + 1, when sigma is 2, 8, 10 or 16 (the bases format() writes),
-# else by one small divmod per symbol; one of the join is read by int() in
-# base sigma, symbol s being base-36 digit s - 1, when 2 <= sigma <= 36 (the
-# bases int() accepts), else by one Horner step per symbol. Wider leaves
-# would make both cheaper still, but every split reads one power, and the
-# lookup counts that tests pin follow this size.
+# The free-suffix conversions split segments longer than a leaf. A leaf of
+# the split is written by one format() in base sigma, digit c being symbol
+# c + 1, when sigma is 2, 8, 10 or 16 (the bases format() writes); a leaf of
+# the join is read by one int() in base sigma, symbol s being base-36 digit
+# s - 1, when 2 <= sigma <= 36 (the bases int() accepts). Such a C-converted
+# leaf spans up to _C_LEAF symbols, below the smallest int/str digit limit
+# Python accepts (640), so no leaf can trip it. Other alphabets take one
+# small divmod or Horner step per symbol in leaves of up to _LEAF symbols,
+# which keeps their ints one or two limbs wide. Every split reads one power.
 _LEAF = 32
+_C_LEAF = 512
 _BASE36 = bytes.maketrans(bytes(range(1, 37)), b"0123456789abcdefghijklmnopqrstuvwxyz")
 _FORMAT_CODE = {2: "b", 8: "o", 10: "d", 16: "x"}
 _FROM_BASE16 = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
@@ -112,17 +114,20 @@ class SuffixCountTable:
         """The free suffix of rank x among all sigma**length words: symbol j is
         base-sigma digit j of x (most significant first) plus one.
 
-        For sigma in {2, 8, 10, 16} each leaf of the split is written in C by
-        format(), as the join reads its leaves by int() for sigma <= 36.
+        For sigma in {2, 8, 10, 16} each leaf of the split, up to _C_LEAF = 512
+        symbols, is written in C by format(), as the join reads its leaves by
+        int() for 2 <= sigma <= 36; other alphabets split down to _LEAF = 32
+        symbols and convert those one symbol at a time.
         Raises AssertionError when x >= sigma**length."""
         out = [0] * length
-        self._split(x, out, 0, length)
+        self._split(x, out, 0, length, _C_LEAF if self.sigma in _FORMAT_CODE else _LEAF)
         return out
 
     def free_rank(self, syms: Sequence[int], start: int) -> int:
         """Rank of the free suffix syms[start:] among all words of its length:
         the base-sigma number whose digits are its symbols minus one."""
-        return self._join(syms, start, len(syms))
+        leaf = _C_LEAF if 2 <= self.sigma <= 36 else _LEAF
+        return self._join(syms, start, len(syms), leaf)
 
     # Divide-and-conquer radix conversion (Knuth, TAOCP Vol. 2, 4.4): halves
     # are split and joined by sigma**h from the power row, so the big-integer
@@ -131,9 +136,9 @@ class SuffixCountTable:
     # calls itself is a reference cycle, which keeps the digit list of every
     # call alive until the cyclic garbage collector runs.
 
-    def _split(self, x: int, out: list[int], lo: int, hi: int) -> None:
+    def _split(self, x: int, out: list[int], lo: int, hi: int, leaf: int) -> None:
         width = hi - lo
-        if width <= _LEAF:
+        if width <= leaf:
             code = _FORMAT_CODE.get(self.sigma)
             if code and width:
                 digits = format(x, f"0{width}{code}").encode().translate(_FROM_BASE16)
@@ -151,11 +156,11 @@ class SuffixCountTable:
         mid = (lo + hi) // 2
         self.lookups += 1
         high, low = divmod(x, self.rows[0][hi - mid])
-        self._split(high, out, lo, mid)
-        self._split(low, out, mid, hi)
+        self._split(high, out, lo, mid, leaf)
+        self._split(low, out, mid, hi, leaf)
 
-    def _join(self, syms: Sequence[int], lo: int, hi: int) -> int:
-        if hi - lo <= _LEAF:
+    def _join(self, syms: Sequence[int], lo: int, hi: int, leaf: int) -> int:
+        if hi - lo <= leaf:
             sigma = self.sigma
             if 2 <= sigma <= 36 and lo < hi:
                 return int(bytes(syms[lo:hi]).translate(_BASE36), sigma)
@@ -165,7 +170,8 @@ class SuffixCountTable:
             return x
         mid = (lo + hi) // 2
         self.lookups += 1
-        return self._join(syms, lo, mid) * self.rows[0][hi - mid] + self._join(syms, mid, hi)
+        high = self._join(syms, lo, mid, leaf)
+        return high * self.rows[0][hi - mid] + self._join(syms, mid, hi, leaf)
 
     def __repr__(self) -> str:
         return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"

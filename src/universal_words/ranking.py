@@ -8,7 +8,8 @@ smaller new symbols owe one less. Once the slack is fixed by the remaining
 length both contributions are single cells, rows[d][slack] and
 rows[d - 1][slack + 1], so the scan makes at most two reads per position. Once k arches have closed the word is a member whatever follows,
 and the rest of it is a free suffix: its completions are counted in one
-base-sigma conversion, table.free_rank, which reads O((n - i) / 32) powers.
+base-sigma conversion, table.free_rank, which reads O((n - i) / 512) powers
+for 2 <= sigma <= 36 and O((n - i) / 32) otherwise.
 Words that are not members get the rank they would receive on insertion.
 """
 

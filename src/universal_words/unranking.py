@@ -17,28 +17,44 @@ def _descend(
     states[j] is the arch state after the prefix: (symbols still owed,
     open-arch bitset). At each position the completion counts of the
     candidate symbols are accumulated until they exceed rem, and the first
-    symbol to do so is chosen, with two table reads; the state after it goes
-    to states[j + 1]. Once k arches have closed every suffix completes the
-    word, so the rest is the base-sigma digits of what is left of rem, filled
-    in one conversion (table.free_suffix). Returns where that free suffix starts.
+    symbol to do so is chosen; the state after it goes to states[j + 1]. When
+    the open arch is empty every candidate is new and has the same count, so
+    one divmod and one table read choose it; otherwise the scan reads the
+    counts of a repeated and of a new symbol, two reads. Every state visited
+    can still complete (n - j >= d), so the count of a new symbol is always a
+    cell. Once k arches have closed every suffix completes the word, so the
+    rest is the base-sigma digits of what is left of rem, filled in one
+    conversion (table.free_suffix). Returns where that free suffix starts.
     unrank() descends from j = 0; an enumeration carry descends at rem = 0.
     """
     n, sigma = table.n, table.sigma
     rows = table.rows
+    candidates = range(1, sigma + 1)
     reads = 0
     d, mask = states[j]
     while d:
         slack = n - j - 1 - d  # slack after a repeated symbol
-        rep_count = rows[d][slack] if slack >= 0 else 0
-        new_count = rows[d - 1][slack + 1] if slack + 1 >= 0 else 0
-        reads += (slack >= 0) + (slack + 1 >= 0)
-        for x in range(1, sigma + 1):
-            cnt = rep_count if mask >> x & 1 else new_count
-            if rem < cnt:
-                break
-            rem -= cnt
+        new_count = rows[d - 1][slack + 1]
+        if not mask:
+            x, rem = divmod(rem, new_count)
+            x += 1
+            reads += 1
+            if x > sigma:
+                raise AssertionError("rank exhausted before the word was complete")
         else:
-            raise AssertionError("rank exhausted before the word was complete")
+            rep_count = rows[d][slack] if slack >= 0 else 0
+            reads += 1 + (slack >= 0)
+            for x in candidates:
+                if mask >> x & 1:
+                    if rem < rep_count:
+                        break
+                    rem -= rep_count
+                elif rem < new_count:
+                    break
+                else:
+                    rem -= new_count
+            else:
+                raise AssertionError("rank exhausted before the word was complete")
         syms[j] = x
         if not mask >> x & 1:
             d -= 1
@@ -53,9 +69,10 @@ def _descend(
 def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
     """The k-universal word of length n with 0-based rank r.
 
-    Inverts rank() symbol by symbol, with two table reads per position until
-    the k-th arch closes; the free suffix after it is one base-sigma
-    conversion that reads O((n - j) / 32) powers.
+    Inverts rank() symbol by symbol, with at most two table reads per
+    position until the k-th arch closes, and one at each arch start; the free
+    suffix after it is one base-sigma conversion that reads O((n - j) / 32)
+    powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
     """
     if table is None:
         table = build_table(n, k, sigma)

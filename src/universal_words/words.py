@@ -103,12 +103,29 @@ def make_word(symbols: Sequence[int], sigma: int) -> Word:
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
+class _Texts(dict):
+    """Symbol -> its decimal text, filled on first sight, so it never holds
+    more entries than distinct symbols formatted."""
+
+    __slots__ = ()
+
+    def __missing__(self, symbol: int) -> str:
+        text = self[symbol] = str(symbol)
+        return text
+
+
+@lru_cache(maxsize=32)
+def _texts(sigma: int) -> _Texts:
+    """The symbol texts of one alphabet, so that a cache never outgrows sigma."""
+    return _Texts()
+
+
 def format_word(w: Word) -> str:
     """Canonical text: concatenated digits (sigma <= 9) or comma-separated numbers."""
-    symbols = tuple(w.symbols)
-    if w.alphabet.sigma <= 9:
-        return bytes(symbols).translate(_DIGITS).decode()
-    return (",%d" * len(symbols))[1:] % symbols
+    sigma = w.alphabet.sigma
+    if sigma <= 9:
+        return bytes(w.symbols).translate(_DIGITS).decode()
+    return ",".join(map(_texts(sigma).__getitem__, w.symbols))
 
 
 class _Tokens(dict):

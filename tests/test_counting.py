@@ -280,7 +280,7 @@ def test_empty_set_table_still_ranks_every_word():
 @pytest.mark.parametrize("sigma", [1, 2, 3, 8, 10, 16, 36, 37, 100])
 def test_free_suffix_conversions_match_per_position_loop(sigma):
     rng = random.Random(sigma)
-    for length in (0, 1, 31, 32, 33, 64, 65, 299):
+    for length in (0, 1, 31, 32, 33, 64, 65, 299, 511, 512, 513, 1025):
         t = build_table(length + 2, 0, sigma)
         top = sigma**length
         for x in (0, top - 1, rng.randrange(top)):
@@ -297,18 +297,21 @@ def test_free_suffix_conversions_match_per_position_loop(sigma):
 
 
 def test_free_suffix_power_reads_are_counted():
-    t = build_table(299, 0, 10)
+    # longer than one C leaf, so the split and the join each read powers
+    t = build_table(2999, 0, 10)
     before = t.lookups
-    syms = t.free_suffix(10**299 - 1, 299)
+    syms = t.free_suffix(10**2999 - 1, 2999)
     reads = t.lookups - before
-    assert syms == [10] * 299
-    assert 0 < reads <= 299 // 16
+    assert syms == [10] * 2999
+    assert 0 < reads <= 2999 // 256
     t.free_rank(syms, 0)
     assert t.lookups - before == 2 * reads
 
 
 @pytest.mark.parametrize("sigma", [3, 10])  # a divmod leaf and a format() leaf
-@pytest.mark.parametrize("length", [5, 70])  # one leaf, and a split whose top leaf overflows
+# one leaf; 70 symbols, a split whose top leaf overflows at sigma = 3 and one
+# format() leaf at sigma = 10; 1100 symbols, a split in both leaf kinds
+@pytest.mark.parametrize("length", [5, 70, 1100])
 def test_free_suffix_rejects_rank_beyond_its_length(sigma, length):
     t = build_table(length, 0, sigma)
     with pytest.raises(AssertionError):
@@ -317,7 +320,9 @@ def test_free_suffix_rejects_rank_beyond_its_length(sigma, length):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 def test_free_suffix_converts_no_more_than_a_leaf_to_text():
-    # a whole-width decimal conversion of 5000 digits would exceed the limit
+    # a whole-width decimal conversion of 5000 digits would exceed the limit,
+    # and no leaf can: it spans at most _C_LEAF symbols
+    assert counting._C_LEAF <= sys.int_info.str_digits_check_threshold
     n = 5000
     t = build_table(n, 0, 10)
     x = random.Random(5).randrange(10**n)

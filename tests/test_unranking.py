@@ -20,7 +20,9 @@ from universal_words import (
     rank,
     unrank,
 )
+from universal_words import counting
 from universal_words.oracle import brute_enumerate
+from universal_words.unranking import _descend
 
 
 def test_spot_unranks():
@@ -216,9 +218,9 @@ def test_enumeration_carries_past_free_suffix_at_large_n(n, k, sigma):
 @pytest.mark.parametrize(
     "shape, reads",
     [
-        ((300, 10, 4), [182, 103, 130, 168]),
-        ((60, 25, 2), [119, 30, 16, 267]),
-        ((120, 3, 12), [205, 159, 155, 237]),
+        ((300, 10, 4), [172, 96, 123, 158]),
+        ((60, 25, 2), [94, 30, 16, 242]),
+        ((120, 3, 12), [202, 159, 155, 234]),
     ],
 )
 def test_lookup_counts_are_exact(shape, reads):
@@ -243,6 +245,89 @@ def test_lookup_counts_are_exact(shape, reads):
     words = counted(lambda: list(enumerate_words(n, k, sigma, start, limit=50, table=t)))
     assert len(words) == 50
     assert seen == reads
+
+
+def _splits(length, leaf):
+    """Power reads of a radix conversion that halves `length` symbols, the
+    left half taking the floor, until a piece fits in a leaf."""
+    if length <= leaf:
+        return 0
+    return 1 + _splits(length // 2, leaf) + _splits(length - length // 2, leaf)
+
+
+def _reference_reads(symbols, k, sigma, unranking):
+    """The table reads of unrank (unranking=True) or rank of a word, from its
+    arch states alone. Until k arches close, unrank reads 1 cell where the
+    open arch is empty, else the new-symbol count and, with slack left, the
+    repeat count; rank reads each of the two counts that some smaller symbol
+    needs. The free suffix after the k-th arch costs one power per split,
+    with leaves of counting._C_LEAF symbols where C converts its base
+    (format() in the split, int() in the join), else counting._LEAF."""
+    n = len(symbols)
+    owed, arch, reads = k * sigma, set(), 0
+    for i, s in enumerate(symbols):
+        if not owed:
+            c_leaf = sigma in (2, 8, 10, 16) if unranking else 2 <= sigma <= 36
+            return reads + _splits(n - i, counting._C_LEAF if c_leaf else counting._LEAF)
+        slack = n - i - 1 - owed
+        if unranking:
+            reads += 1 if not arch else 1 + (slack >= 0)
+        else:
+            repeats = len([x for x in arch if x < s])
+            reads += (repeats > 0 and slack >= 0) + (s - 1 - repeats > 0 and slack + 1 >= 0)
+        if s not in arch:
+            owed -= 1
+            arch.add(s)
+            if len(arch) == sigma:
+                arch = set()
+    return reads
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma",
+    [
+        (300, 10, 4),
+        (60, 25, 2),
+        (120, 3, 12),
+        (2000, 1, 10),
+        (1500, 0, 16),
+        (900, 1, 37),
+        (700, 2, 3),
+        (40, 3, 1),
+    ],
+)
+def test_lookup_counts_follow_the_arch_states(n, k, sigma):
+    t = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, t)
+    rng = random.Random(n + k + sigma)
+    words = [unrank(r, n, k, sigma, t) for r in (0, total - 1, rng.randrange(total))]
+    words.append(make_word(rng.choices(range(1, sigma + 1), k=n), sigma))
+    for w in words:
+        before = t.lookups
+        r = rank(w, k, t)
+        assert t.lookups - before == _reference_reads(w.symbols, k, sigma, False)
+        if r.member:
+            before = t.lookups
+            assert unrank(r.rank, n, k, sigma, t) == w
+            # one more read: unrank checks r against the set size
+            assert t.lookups - before == 1 + _reference_reads(w.symbols, k, sigma, True)
+
+
+@pytest.mark.parametrize("n, k, sigma", [(300, 10, 4), (120, 3, 12), (60, 25, 2)])
+def test_first_symbol_changes_at_each_block_boundary(n, k, sigma):
+    # the first position is an arch start: every first symbol owns a block of
+    # count / sigma ranks, chosen by one divmod
+    t = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, t)
+    block, rem = divmod(total, sigma)
+    assert rem == 0
+    for c in range(1, sigma):
+        for r, first in ((c * block - 1, c), (c * block, c + 1)):
+            w = unrank(r, n, k, sigma, t)
+            assert w.symbols[0] == first
+            assert rank(w, k, t) == RankResult(r, True)
+    with pytest.raises(AssertionError):
+        _descend(t, [0] * n, [(k * sigma, 0)] * (n + 1), 0, total)
 
 
 def test_unrank_validates_table_parameters():

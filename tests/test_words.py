@@ -74,6 +74,25 @@ def test_format_digits_and_comma_modes():
             assert format_word(make_word(syms, sigma)) == sep.join(map(str, syms))
 
 
+@pytest.mark.parametrize("sigma", [10, 12, 100, 10**9])
+def test_format_matches_percent_formatting(sigma):
+    # the text before the join over cached tokens: one "%d" per symbol
+    rng = random.Random(sigma)
+    for n in (0, 1, 2, 2000):
+        syms = tuple([1, sigma] + [rng.randint(1, sigma) for _ in range(n)])[:n]
+        assert format_word(make_word(syms, sigma)) == (",%d" * n)[1:] % syms
+
+
+def test_format_token_cache_holds_only_symbols_seen():
+    from universal_words.words import _texts
+
+    sigma = 10**9
+    _texts.cache_clear()
+    w = make_word([7, sigma, 7, 1, sigma], sigma)
+    assert format_word(w) == "7,1000000000,7,1,1000000000"
+    assert len(_texts(sigma)) <= 3
+
+
 def test_parse_digit_mode():
     assert parse_word("1221", 2).symbols == (1, 2, 2, 1)
 
