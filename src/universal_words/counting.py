@@ -20,7 +20,8 @@ So the counts form one chain of rows, d = 0..k*sigma, each one pass over the
 row before it. In generating-function terms every arch multiplies the series
 1/(1 - sigma x) by sigma! x**sigma / prod_{i<sigma} (1 - i x). The zero-slack
 cells come out of the same pass as (sigma - q)! * (sigma!)**(c - 1), with c
-the arches still owed.
+the arches still owed. Rows whose open arch holds 0 or 1 symbols are built in
+C (see _chain); at sigma = 2 that is every row.
 
 Only slack m <= n - k*sigma is ever read: after i symbols owing d,
 i >= k*sigma - d, so the slack n - i - d of any completion is at most
@@ -67,6 +68,7 @@ against k*sigma).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from itertools import accumulate
 from math import factorial, lcm, prod
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
@@ -198,7 +200,14 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
 
 
 def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
-    """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m."""
+    """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m.
+
+    Each row is a new list, one pass over the row before it. With q the open
+    arch's size, a q = 0 row is sigma times the row before (one map), and a
+    q = 1 row is the prefix sums of grow = sigma - 1 times it (one
+    accumulate, with no product when grow = 1): both run in C. Other rows
+    take one interpreter step per cell, two small-by-big products and a sum.
+    """
     width = n - k * sigma + 1
     row = [1] * width
     for m in range(1, width):
@@ -207,12 +216,17 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
     for d in range(1, k * sigma + 1):
         q = -d % sigma  # size of the open arch
         grow = sigma - q
-        nxt = [0] * width
-        prev = 0
-        for m in range(width):
-            prev = grow * row[m] + q * prev
-            nxt[m] = prev
-        row = nxt
+        if q == 0:
+            row = list(map(sigma.__mul__, row))
+        elif q == 1:
+            row = list(accumulate(row if grow == 1 else map(grow.__mul__, row)))
+        else:
+            nxt = [0] * width
+            prev = 0
+            for m in range(width):
+                prev = grow * row[m] + q * prev
+                nxt[m] = prev
+            row = nxt
         yield row
 
 

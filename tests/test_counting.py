@@ -267,6 +267,48 @@ def test_table_stores_each_row_once(n, k, sigma, stored):
     assert cells == stored == t.build_ops == (k * sigma + 1) * (n - k * sigma + 1)
 
 
+def _reference_rows(n, k, sigma):
+    """The chain cell by cell: rows[d][m] = (sigma - q)*rows[d-1][m] + q*rows[d][m-1]."""
+    width = n - k * sigma + 1
+    rows = [[sigma**m for m in range(width)]]
+    for d in range(1, k * sigma + 1):
+        q = -d % sigma
+        row = []
+        for m in range(width):
+            row.append((sigma - q) * rows[d - 1][m] + q * (row[m - 1] if m else 0))
+        rows.append(row)
+    return rows
+
+
+def _row_kind(d, sigma):
+    q = -d % sigma
+    if q == 0:
+        return "q0"
+    if q == 1:
+        return "q1, grow 1" if sigma == 2 else "q1, grow > 1"
+    return "other"
+
+
+def test_chain_rows_match_the_cell_recurrence():
+    shapes = [(1000, 450, 2)]  # the tight benchmark case, 91,001 cells
+    for sigma in (1, 2, 3, 4, 10, 37):
+        for k in (0, 1, 2, 3):
+            shapes += [(k * sigma + w, k, sigma) for w in (0, 1, 2, 17)]
+            if k:
+                shapes.append((k * sigma - 1, k, sigma))
+    kinds = set()
+    for n, k, sigma in shapes:
+        rows = list(counting._chain(n, k, sigma))
+        assert rows == _reference_rows(n, k, sigma), (n, k, sigma)
+        assert len(rows) == k * sigma + 1
+        assert all(len(row) == max(n - k * sigma + 1, 0) for row in rows)
+        # every row its own list: build_ops counts each cell once
+        assert len({id(row) for row in rows}) == len(rows)
+        if n >= k * sigma:
+            kinds.update(_row_kind(d, sigma) for d in range(1, k * sigma + 1))
+    assert kinds == {"q0", "q1, grow 1", "q1, grow > 1", "other"}
+
+
 def test_empty_set_table_still_ranks_every_word():
     # n = k*sigma - 1: no completion has room, so the rows are empty and no
     # rank reads a cell
