@@ -1,15 +1,17 @@
 """The naive enumeration that `uwords verify` cross-checks the fast paths against.
 
 It works straight from the definition: a word is k-universal when every
-length-k word over its alphabet occurs as a subsequence. No factorization or
-table code is shared with the rest of the package. The guards are hard
-errors, not truncations.
+length-k word over its alphabet occurs as a subsequence. It shares only the
+parameter check (counting._check_params) with the rest of the package, so a bad
+n, k or sigma raises the package's own error; no factorization or table code is
+shared. The guards are hard errors, not truncations.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from .counting import _check_params
 from .errors import GuardExceeded
 from .words import Word, _alphabet
 
@@ -50,8 +52,7 @@ def _every_pattern_embeds(rows, n, sigma, k):
 
 def brute_enumerate(n: int, k: int, sigma: int) -> list[Word]:
     """All k-universal words of length n, in lexicographic order."""
-    if n < 0 or k < 0 or sigma < 1:
-        raise ValueError(f"bad parameters n={n}, k={k}, sigma={sigma}")
+    _check_params(n, k, sigma)
     if sigma**n > ENUM_GUARD:
         raise GuardExceeded(f"sigma**n = {sigma**n} exceeds the guard {ENUM_GUARD}")
     if sigma**k > CHECK_GUARD:

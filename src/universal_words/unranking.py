@@ -10,57 +10,56 @@ from .words import Word, _alphabet
 
 
 def _descend(
-    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int]], j: int, rem: int
+    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int]], rem: int
 ) -> int:
     """Write into syms[j:] the completion of rank rem of the prefix syms[:j].
 
-    states[j] is the arch state after the prefix: (symbols still owed,
-    open-arch bitset). At each position the completion counts of the
-    candidate symbols are accumulated until they exceed rem, and the first
-    symbol to do so is chosen; the state after it goes to states[j + 1]. When
-    the open arch is empty every candidate is new and has the same count, so
-    one divmod and one table read choose it; otherwise the scan reads the
-    counts of a repeated and of a new symbol, two reads. Every state visited
-    can still complete (n - j >= d), so the count of a new symbol is always a
-    cell. Once k arches have closed every suffix completes the word, so the
-    rest is the base-sigma digits of what is left of rem, filled in one
-    conversion (table.free_suffix). Returns where that free suffix starts.
-    unrank() descends from j = 0; an enumeration carry descends at rem = 0.
+    states[i] is the arch state after syms[:i], (symbols still owed,
+    open-arch bitset), for i = 0..j, so j = len(states) - 1. At each position
+    the completion counts of the candidate symbols are accumulated until they
+    exceed rem, and the first symbol to do so is chosen; the state after it
+    is appended to states. A candidate either repeats the open arch or is
+    new, and each kind has one count: a new symbol's is one read, and a
+    repeat's a second read only where the open arch is non-empty and a repeat
+    can still complete. Every state visited can still complete (n - j >= d),
+    so the count of a new symbol is always a cell. Once k arches have closed
+    every suffix completes the word, so the rest is the base-sigma digits of
+    what is left of rem, filled in one conversion (table.free_suffix).
+    Returns where that free suffix starts, len(states) - 1. unrank()
+    descends from the empty prefix; an enumeration carry descends at rem = 0.
     """
     n, sigma = table.n, table.sigma
     rows = table.rows
     candidates = range(1, sigma + 1)
     reads = 0
+    j = len(states) - 1
     d, mask = states[j]
     while d:
         slack = n - j - 1 - d  # slack after a repeated symbol
         new_count = rows[d - 1][slack + 1]
-        if not mask:
-            x, rem = divmod(rem, new_count)
-            x += 1
+        if mask and slack >= 0:
+            rep_count = rows[d][slack]
+            reads += 2
+        else:  # no symbol repeats, or a repeat cannot complete
+            rep_count = 0
             reads += 1
-            if x > sigma:
-                raise AssertionError("rank exhausted before the word was complete")
-        else:
-            rep_count = rows[d][slack] if slack >= 0 else 0
-            reads += 1 + (slack >= 0)
-            for x in candidates:
-                if mask >> x & 1:
-                    if rem < rep_count:
-                        break
-                    rem -= rep_count
-                elif rem < new_count:
+        for x in candidates:
+            if mask >> x & 1:
+                if rem < rep_count:
                     break
-                else:
-                    rem -= new_count
+                rem -= rep_count
+            elif rem < new_count:
+                break
             else:
-                raise AssertionError("rank exhausted before the word was complete")
+                rem -= new_count
+        else:
+            raise AssertionError("rank exhausted before the word was complete")
         syms[j] = x
         if not mask >> x & 1:
             d -= 1
             mask = 0 if d % sigma == 0 else mask | 1 << x
         j += 1
-        states[j] = (d, mask)
+        states.append((d, mask))
     table.lookups += reads
     syms[j:] = table.free_suffix(rem, n - j)
     return j
@@ -70,9 +69,9 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     """The k-universal word of length n with 0-based rank r.
 
     Inverts rank() symbol by symbol, with at most two table reads per
-    position until the k-th arch closes, and one at each arch start; the free
-    suffix after it is one base-sigma conversion that reads O((n - j) / 32)
-    powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
+    position until the k-th arch closes, and one where the open arch is
+    empty; the free suffix after it is one base-sigma conversion that reads
+    O((n - j) / 32) powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
     """
     if table is None:
         table = build_table(n, k, sigma)
@@ -87,21 +86,23 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
 def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     """The k-universal words of ranks r..stop-1, smallest first.
 
-    The first word is unranked by _descend, which keeps the arch state after
-    every position before the free suffix; unrank() takes only this word.
-    Inside the free suffix a successor adds one in base sigma and reads no
-    table cell. A carry past it bumps the rightmost arch position p that can
-    take a larger symbol, reading no cell: a prefix owing d symbols at p
-    completes iff n - p >= d, so with n - p == d only a new symbol fits. The
-    next word is the smallest completion, a descent from p + 1 at rank 0.
+    The first word is unranked by _descend, which leaves in states the arch
+    state after each position before the free suffix, and nothing more;
+    unrank() takes only this word. Inside the free suffix a successor adds
+    one in base sigma and reads no table cell. A carry past it bumps the
+    rightmost arch position p that can take a larger symbol, reading no cell:
+    a prefix owing d symbols at p completes iff n - p >= d, so with
+    n - p == d only a new symbol fits. states is cut back to end with the
+    state after p, and the next word is the smallest completion, a descent
+    at rank 0.
     """
     if r >= stop:
         return
     n, sigma = table.n, table.sigma
     alpha = _alphabet(sigma)
     syms = [0] * n
-    states = [(table.k * sigma, 0)] * (n + 1)
-    free = _descend(table, syms, states, 0, r)  # start of the free suffix
+    states = [(table.k * sigma, 0)]
+    free = _descend(table, syms, states, r)  # start of the free suffix
     yield Word._trusted(tuple(syms), alpha)
     for _ in range(r + 1, stop):
         for p in range(n - 1, free - 1, -1):
@@ -124,8 +125,8 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
             if not mask >> x & 1:
                 d -= 1
                 mask = 0 if d % sigma == 0 else mask | 1 << x
-            states[p + 1] = (d, mask)
-            free = _descend(table, syms, states, p + 1, 0)
+            states[p + 1:] = [(d, mask)]
+            free = _descend(table, syms, states, 0)
         yield Word._trusted(tuple(syms), alpha)
 
 

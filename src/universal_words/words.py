@@ -167,9 +167,10 @@ def parse_word(text: str, sigma: int) -> Word:
     Well-formed text is read in C: in digit mode by deleting the allowed
     digits with bytes.translate and mapping the rest to symbols, in comma mode
     by one lookup per token in the _Tokens table of canonical tokens. Anything
-    else (leading zeros, empty tokens, other characters, values out of range)
-    falls through to a loop over characters or tokens, which accepts what is
-    valid and reports the first bad position.
+    else falls through to a loop that reports the first bad position. In
+    digit mode that loop over characters only finds the bad one; in comma mode
+    the loop over tokens also accepts valid tokens the table lacks (leading
+    zeros) and rejects empty tokens, other characters and values out of range.
     """
     alphabet = _alphabet(sigma)
     if sigma <= 9:
@@ -177,15 +178,13 @@ def parse_word(text: str, sigma: int) -> Word:
             data = text.encode()
             if not data.translate(None, b"123456789"[:sigma]):
                 return Word._trusted(tuple(data.translate(_FROM_DIGITS)), alphabet)
-        symbols = []
         for pos, ch in enumerate(text, 1):
             value = ord(ch) - 48  # "0".."9" -> 0..9; every other character falls outside
             if not 1 <= value <= sigma:
                 if not 0 <= value <= 9:
                     raise ParseError(pos, f"expected a digit, got {ch!r}")
                 raise SymbolOutOfRange(pos, value)
-            symbols.append(value)
-        return Word._trusted(tuple(symbols), alphabet)
+        raise AssertionError("no bad character in text the fast path refused")
     if text == "":
         return Word._trusted((), alphabet)
     tokens = text.split(",")

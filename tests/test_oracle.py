@@ -2,7 +2,15 @@ from itertools import product
 
 import pytest
 
-from universal_words import GuardExceeded, format_word, make_word, parse_word
+from universal_words import (
+    AlphabetMismatch,
+    GuardExceeded,
+    InvalidK,
+    LengthMismatch,
+    format_word,
+    make_word,
+    parse_word,
+)
 from universal_words.oracle import brute_enumerate
 
 from brute_force import brute_count, brute_is_k_universal, brute_rank, brute_universality_index
@@ -65,6 +73,15 @@ def test_guards_are_hard_errors():
         brute_enumerate(30, 1, 2)
     with pytest.raises(GuardExceeded):
         brute_universality_index(make_word(list(range(1, 11)) * 8, 10))
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma, error",
+    [(-1, 1, 2, LengthMismatch), (2, -1, 2, InvalidK), (2, 1, 0, AlphabetMismatch)],
+)
+def test_enumerate_rejects_bad_parameters_with_package_errors(n, k, sigma, error):
+    with pytest.raises(error):
+        brute_enumerate(n, k, sigma)
 
 
 def test_check_agrees_with_containment_definition():

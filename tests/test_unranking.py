@@ -316,7 +316,7 @@ def test_lookup_counts_follow_the_arch_states(n, k, sigma):
 @pytest.mark.parametrize("n, k, sigma", [(300, 10, 4), (120, 3, 12), (60, 25, 2)])
 def test_first_symbol_changes_at_each_block_boundary(n, k, sigma):
     # the first position is an arch start: every first symbol owns a block of
-    # count / sigma ranks, chosen by one divmod
+    # count / sigma ranks
     t = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, t)
     block, rem = divmod(total, sigma)
@@ -327,7 +327,36 @@ def test_first_symbol_changes_at_each_block_boundary(n, k, sigma):
             assert w.symbols[0] == first
             assert rank(w, k, t) == RankResult(r, True)
     with pytest.raises(AssertionError):
-        _descend(t, [0] * n, [(k * sigma, 0)] * (n + 1), 0, total)
+        _descend(t, [0] * n, [(k * sigma, 0)], total)
+
+
+def _reference_states(symbols, k, sigma):
+    # (symbols still owed, open-arch bitset) after each position, from the arch sets
+    closed, arch = 0, set()
+    states = [(k * sigma, 0)]
+    for s in symbols:
+        arch.add(s)
+        if len(arch) == sigma:
+            closed, arch = closed + 1, set()
+        states.append(((k - closed) * sigma - len(arch), sum(1 << x for x in arch)))
+    return states
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma", [(300, 10, 4), (60, 25, 2), (120, 3, 12), (1000, 450, 2), (2000, 1, 10)]
+)
+def test_descend_states_hold_exactly_the_prefix(n, k, sigma):
+    t = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, t)
+    rng = random.Random(n * k + sigma)
+    for r in (0, total - 1, rng.randrange(total), rng.randrange(total)):
+        syms = [0] * n
+        states = [(k * sigma, 0)]
+        free = _descend(t, syms, states, r)
+        assert free == len(states) - 1
+        assert states == _reference_states(syms[:free], k, sigma)
+        assert states[-1][0] == 0
+        assert tuple(syms) == unrank(r, n, k, sigma, t).symbols
 
 
 def test_unrank_validates_table_parameters():
