@@ -11,7 +11,6 @@ from .arches import (
     ArchFactorization,
     arch_factorize,
     is_k_universal,
-    universality_index,
 )
 from .closed_forms import count_arches, count_index_zero, count_one_universal
 from .counting import SuffixCountTable, build_table, count_universal
@@ -28,12 +27,11 @@ from .errors import (
 )
 from .ranking import RankResult, rank
 from .unranking import enumerate_words, unrank
-from .words import Alphabet, Word, format_word, make_word, parse_word
+from .words import Word, format_word, make_word, parse_word
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "AlphabetMismatch",
     "ArchFactorization",
     "EmptySet",
@@ -60,5 +58,4 @@ __all__ = [
     "parse_word",
     "rank",
     "unrank",
-    "universality_index",
 ]

@@ -1,4 +1,4 @@
-"""Greedy arch factorization and the universality index it yields.
+"""Greedy arch factorization, whose arch count is the universality index.
 
 An arch is a shortest factor that contains every alphabet symbol: scanning left
 to right, it closes at the position where the last missing symbol first shows
@@ -9,26 +9,24 @@ the largest k for which every length-k word is a subsequence.
 
 from __future__ import annotations
 
-from .errors import InvalidK
+from .counting import _check_params
 from .words import Word, _Value
 
 
 class ArchFactorization(_Value):
     """Greedy factorization of one word; positions are 1-based."""
 
-    __slots__ = ("arch_starts", "arch_count", "suffix_start", "source_length")
+    __slots__ = ("arch_starts", "arch_count", "suffix_start")
 
     def __init__(
         self,
         arch_starts: tuple[int, ...],
         arch_count: int,
         suffix_start: int,  # n + 1 when the residual suffix is empty
-        source_length: int,
     ):
         object.__setattr__(self, "arch_starts", arch_starts)
         object.__setattr__(self, "arch_count", arch_count)
         object.__setattr__(self, "suffix_start", suffix_start)
-        object.__setattr__(self, "source_length", source_length)
 
     def arch_bounds(self) -> list[tuple[int, int]]:
         """(start, end) of each arch, 1-based inclusive."""
@@ -38,7 +36,7 @@ class ArchFactorization(_Value):
 
 def arch_factorize(w: Word) -> ArchFactorization:
     """Factor w into greedy arches plus a residual suffix."""
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     n = len(w.symbols)
     starts: list[int] = []
     mask = 0
@@ -60,16 +58,10 @@ def arch_factorize(w: Word) -> ArchFactorization:
         arch_starts=tuple(starts),
         arch_count=len(starts),
         suffix_start=start if distinct else n + 1,
-        source_length=n,
     )
 
 
-def universality_index(w: Word) -> int:
-    """Largest k such that every length-k word over the alphabet is a subsequence."""
-    return arch_factorize(w).arch_count
-
-
 def is_k_universal(w: Word, k: int) -> bool:
-    if k < 0:
-        raise InvalidK(f"k must be nonnegative, got {k}")
-    return k == 0 or universality_index(w) >= k
+    """Whether every length-k word over the alphabet is a subsequence of w."""
+    _check_params(len(w.symbols), k, w.sigma)
+    return k == 0 or arch_factorize(w).arch_count >= k

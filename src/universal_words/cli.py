@@ -198,13 +198,13 @@ def _cmd_arch(args) -> int:
 
 
 def _cmd_closed_forms(args) -> int:
-    zero = count_index_zero(args.n, args.sigma)
-    one = count_one_universal(args.n, args.sigma)
-    arches = count_arches(args.n, args.sigma)
+    zero = _decimal_text(count_index_zero(args.n, args.sigma))
+    one = _decimal_text(count_one_universal(args.n, args.sigma))
+    arches = _decimal_text(count_arches(args.n, args.sigma))
     _emit(
         args,
         [f"index-zero: {zero}", f"one-universal: {one}", f"arches: {arches}"],
-        {"index_zero": str(zero), "one_universal": str(one), "arches": str(arches)},
+        {"index_zero": zero, "one_universal": one, "arches": arches},
     )
     return 0
 

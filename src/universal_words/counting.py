@@ -180,7 +180,10 @@ class SuffixCountTable:
 
 
 def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> None:
-    """Reject negative n or k and sigma < 1, or a table built for other parameters."""
+    """Reject negative n or k and sigma < 1, or a table built for other parameters.
+
+    The package's one parameter check: words, tables, counts and the oracle
+    all call it, so a bad value raises the same typed error everywhere."""
     if table is not None:
         if k != table.k:
             raise InvalidK(f"table built for k={table.k}, queried with k={k}")
@@ -239,10 +242,11 @@ def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
 
 def _count_by_poles(n: int, k: int, sigma: int) -> int:
     """(sigma!)**k [x**M] 1/Q(x) in exact integers, by partial fractions over
-    the poles 1/i of Q (see the module docstring)."""
+    the poles 1/i of Q (see the module docstring). At k = 0 only 1/sigma is a
+    pole, and the sum is sigma**n."""
     big_m = n - k * sigma
-    poles = range(1, sigma + 1)
     mult = [0] + [k] * (sigma - 1) + [1]  # mult[i] of the pole 1/i
+    poles = [i for i in range(1, sigma + 1) if mult[i]]
     deg = (sigma - 1) * k + 1
     nums = []
     dens = []
@@ -286,8 +290,6 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
     if table is not None:
         table.lookups += 1
         return table.rows[-1][-1]
-    if k == 0:
-        return sigma**n
     deg = (sigma - 1) * k + 1
     if deg * deg - (sigma - 1) * k * k - 1 <= (n - k * sigma + 1) * (k * sigma + 1):
         return _count_by_poles(n, k, sigma)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .counting import _check_params
 from .errors import GuardExceeded
-from .words import Word, _alphabet
+from .words import Word
 
 CHECK_GUARD = 10**6  # ceiling on sigma**k for one universality check
 ENUM_GUARD = 10**7  # ceiling on sigma**n for a full enumeration
@@ -57,7 +57,6 @@ def brute_enumerate(n: int, k: int, sigma: int) -> list[Word]:
         raise GuardExceeded(f"sigma**n = {sigma**n} exceeds the guard {ENUM_GUARD}")
     if sigma**k > CHECK_GUARD:
         raise GuardExceeded(f"sigma**k = {sigma**k} exceeds the guard {CHECK_GUARD}")
-    alpha = _alphabet(sigma)
     full = (2 << sigma) - 2  # bits 1..sigma
     members = []
     for tup in product(range(1, sigma + 1), repeat=n):
@@ -70,5 +69,5 @@ def brute_enumerate(n: int, k: int, sigma: int) -> list[Word]:
             rows = _occurrence_rows(tup, sigma, n)
             if not _every_pattern_embeds(rows, n, sigma, k):
                 continue
-        members.append(Word(tup, alpha))
+        members.append(Word(tup, sigma))
     return members

@@ -32,7 +32,7 @@ class RankResult(_Value):
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     """0-based rank of w among the k-universal words of its length."""
     n = len(w.symbols)
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     _check_params(n, k, sigma, table)
 
     rows = table.rows

@@ -6,7 +6,7 @@ from collections.abc import Iterator
 
 from .counting import SuffixCountTable, build_table, count_universal
 from .errors import EmptySet, RankOutOfRange
-from .words import Word, _alphabet
+from .words import Word
 
 
 def _descend(
@@ -99,11 +99,10 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     if r >= stop:
         return
     n, sigma = table.n, table.sigma
-    alpha = _alphabet(sigma)
     syms = [0] * n
     states = [(table.k * sigma, 0)]
     free = _descend(table, syms, states, r)  # start of the free suffix
-    yield Word._trusted(tuple(syms), alpha)
+    yield Word._trusted(tuple(syms), sigma)
     for _ in range(r + 1, stop):
         for p in range(n - 1, free - 1, -1):
             if syms[p] < sigma:
@@ -127,7 +126,7 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
                 mask = 0 if d % sigma == 0 else mask | 1 << x
             states[p + 1:] = [(d, mask)]
             free = _descend(table, syms, states, 0)
-        yield Word._trusted(tuple(syms), alpha)
+        yield Word._trusted(tuple(syms), sigma)
 
 
 def enumerate_words(

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .errors import AlphabetMismatch, ParseError, SymbolOutOfRange
+from .counting import _check_params
+from .errors import ParseError, SymbolOutOfRange
 
 
 class _Value:
@@ -43,42 +44,31 @@ class _Value:
         return type(self), self._fields()
 
 
-class Alphabet(_Value):
-    """The ordered alphabet {1, ..., sigma}."""
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, sigma: int):
-        if sigma < 1:
-            raise AlphabetMismatch(f"alphabet size must be at least 1, got {sigma}")
-        object.__setattr__(self, "sigma", sigma)
-
-
-@lru_cache(maxsize=None)
-def _alphabet(sigma: int) -> Alphabet:
-    return Alphabet(sigma)
-
-
 class Word(_Value):
-    """An immutable word; symbols are 1-based integers within the alphabet."""
+    """An immutable word over {1, ..., sigma}: a tuple of 1-based integer symbols.
 
-    __slots__ = ("symbols", "alphabet")
+    Word(symbols, sigma) checks sigma and every symbol and stores the symbols
+    as a tuple; make_word is the same constructor.
+    """
 
-    def __init__(self, symbols: tuple[int, ...], alphabet: Alphabet):
-        sigma = alphabet.sigma
+    __slots__ = ("symbols", "sigma")
+
+    def __init__(self, symbols: Iterable[int], sigma: int):
+        _check_params(0, 0, sigma)
+        symbols = tuple(symbols)
         if not all(1 <= s <= sigma for s in symbols):
             for pos, s in enumerate(symbols, 1):
                 if not 1 <= s <= sigma:
                     raise SymbolOutOfRange(pos, s)
         object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "sigma", sigma)
 
     @classmethod
-    def _trusted(cls, symbols: tuple[int, ...], alphabet: Alphabet) -> "Word":
+    def _trusted(cls, symbols: tuple[int, ...], sigma: int) -> "Word":
         """A word whose symbols are in range by construction: skips the O(n) check."""
         w = object.__new__(cls)
         object.__setattr__(w, "symbols", symbols)
-        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "sigma", sigma)
         return w
 
     def __len__(self) -> int:
@@ -91,12 +81,10 @@ class Word(_Value):
         return format_word(self)
 
     def __repr__(self) -> str:
-        return f"Word({format_word(self)!r}, sigma={self.alphabet.sigma})"
+        return f"Word({format_word(self)!r}, sigma={self.sigma})"
 
 
-def make_word(symbols: Sequence[int], sigma: int) -> Word:
-    """Build a word over {1..sigma}, validating every symbol."""
-    return Word(tuple(symbols), _alphabet(sigma))
+make_word = Word
 
 
 # byte value s -> ASCII digit s, for words over at most nine symbols
@@ -122,7 +110,7 @@ def _texts(sigma: int) -> _Texts:
 
 def format_word(w: Word) -> str:
     """Canonical text: concatenated digits (sigma <= 9) or comma-separated numbers."""
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     if sigma <= 9:
         return bytes(w.symbols).translate(_DIGITS).decode()
     return ",".join(map(_texts(sigma).__getitem__, w.symbols))
@@ -172,12 +160,12 @@ def parse_word(text: str, sigma: int) -> Word:
     the loop over tokens also accepts valid tokens the table lacks (leading
     zeros) and rejects empty tokens, other characters and values out of range.
     """
-    alphabet = _alphabet(sigma)
+    _check_params(0, 0, sigma)
     if sigma <= 9:
         if text.isascii():
             data = text.encode()
             if not data.translate(None, b"123456789"[:sigma]):
-                return Word._trusted(tuple(data.translate(_FROM_DIGITS)), alphabet)
+                return Word._trusted(tuple(data.translate(_FROM_DIGITS)), sigma)
         for pos, ch in enumerate(text, 1):
             value = ord(ch) - 48  # "0".."9" -> 0..9; every other character falls outside
             if not 1 <= value <= sigma:
@@ -186,11 +174,11 @@ def parse_word(text: str, sigma: int) -> Word:
                 raise SymbolOutOfRange(pos, value)
         raise AssertionError("no bad character in text the fast path refused")
     if text == "":
-        return Word._trusted((), alphabet)
+        return Word._trusted((), sigma)
     tokens = text.split(",")
     table = _tokens(sigma)
     try:
-        return Word._trusted(tuple(map(table.__getitem__, tokens)), alphabet)
+        return Word._trusted(tuple(map(table.__getitem__, tokens)), sigma)
     except KeyError:
         pass
     width = table.width
@@ -206,4 +194,4 @@ def parse_word(text: str, sigma: int) -> Word:
             raise SymbolOutOfRange(len(symbols) + 1, value)
         symbols.append(value)
         offset += len(token) + 1
-    return Word._trusted(tuple(symbols), alphabet)
+    return Word._trusted(tuple(symbols), sigma)

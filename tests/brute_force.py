@@ -22,7 +22,7 @@ def brute_is_k_universal(w: Word, k: int) -> bool:
     """Check every length-k word for subsequence containment, no shortcuts."""
     if k < 0:
         raise InvalidK(f"k must be nonnegative, got {k}")
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     if sigma**k > CHECK_GUARD:
         raise GuardExceeded(f"sigma**k = {sigma**k} exceeds the guard {CHECK_GUARD}")
     n = len(w.symbols)
@@ -30,9 +30,9 @@ def brute_is_k_universal(w: Word, k: int) -> bool:
     return _every_pattern_embeds(rows, n, sigma, k)
 
 
-def brute_universality_index(w: Word) -> int:
+def brute_index(w: Word) -> int:
     """Largest k passing brute_is_k_universal."""
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     n = len(w.symbols)
     cap = n // sigma  # every symbol must occur k times, so k <= n / sigma
     rows = _occurrence_rows(w.symbols, sigma, n)
@@ -50,7 +50,7 @@ def brute_universality_index(w: Word) -> int:
 
 def brute_rank(w: Word, k: int) -> int:
     """Position where w sits (or would be inserted) in the enumerated set."""
-    members = brute_enumerate(len(w.symbols), k, w.alphabet.sigma)
+    members = brute_enumerate(len(w.symbols), k, w.sigma)
     return bisect_left([m.symbols for m in members], w.symbols)
 
 

@@ -22,7 +22,7 @@ from universal_words.ranking import rank
 from universal_words.unranking import enumerate_words, unrank
 from universal_words.words import format_word, make_word, parse_word
 
-from brute_force import brute_is_k_universal, brute_universality_index
+from brute_force import brute_index, brute_is_k_universal
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +30,7 @@ def _members_by_k(n, sigma):
     """Member tuples of every k <= n / sigma, from one pass over all sigma**n words."""
     members = [[] for _ in range(n // sigma + 1)]
     for tup in product(range(1, sigma + 1), repeat=n):
-        index = brute_universality_index(make_word(tup, sigma))
+        index = brute_index(make_word(tup, sigma))
         for k in range(index + 1):
             members[k].append(tup)
     return tuple(map(tuple, members))

@@ -9,10 +9,9 @@ from universal_words import (
     is_k_universal,
     make_word,
     parse_word,
-    universality_index,
 )
 
-from brute_force import brute_universality_index
+from brute_force import brute_index
 
 FIG_W = parse_word("11234432122314332144", 4)
 FIG_V = parse_word("12234323134112344412", 4)
@@ -23,8 +22,6 @@ def test_four_arch_fixture():
     assert f.arch_starts == (1, 6, 10, 15)
     assert f.suffix_start == 20
     assert f.arch_count == 4
-    assert f.source_length == 20
-    assert universality_index(FIG_W) == 4
 
 
 def test_three_arch_fixture():
@@ -32,7 +29,6 @@ def test_three_arch_fixture():
     assert f.arch_starts == (1, 6, 12)
     assert f.suffix_start == 17
     assert f.arch_count == 3
-    assert universality_index(FIG_V) == 3
 
 
 def test_fixture_factors():
@@ -53,7 +49,7 @@ def test_all_residual_word():
     f = arch_factorize(parse_word("1111", 2))
     assert f.arch_count == 0
     assert f.suffix_start == 1
-    assert universality_index(parse_word("1111", 2)) == 0
+    assert arch_factorize(parse_word("1111", 2)).arch_count == 0
 
 
 def test_unary_alphabet():
@@ -75,7 +71,7 @@ def test_index_matches_brute_oracle_exhaustively():
         for n in range(0, 9):
             for tup in product(range(1, sigma + 1), repeat=n):
                 w = make_word(tup, sigma)
-                assert universality_index(w) == brute_universality_index(w), tup
+                assert arch_factorize(w).arch_count == brute_index(w), tup
 
 
 @st.composite
@@ -87,7 +83,7 @@ def words(draw):
 
 @given(words())
 def test_factorization_invariants(w):
-    sigma = w.alphabet.sigma
+    sigma = w.sigma
     f = arch_factorize(w)
     bounds = f.arch_bounds()
     assert len(bounds) == f.arch_count
@@ -108,6 +104,6 @@ def test_factorization_invariants(w):
 @given(words())
 def test_index_is_maximal(w):
     # one more arch never fits: the word is not (index+1)-universal
-    idx = universality_index(w)
+    idx = arch_factorize(w).arch_count
     assert is_k_universal(w, idx)
     assert not is_k_universal(w, idx + 1)

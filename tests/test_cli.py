@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from universal_words import cli
-from universal_words.cli import main
+from universal_words.cli import _decimal_text, main
+from universal_words.closed_forms import count_arches, count_index_zero, count_one_universal
 from universal_words.counting import count_universal
 from universal_words.unranking import enumerate_words
 from universal_words.words import format_word
@@ -288,13 +289,30 @@ def test_decimal_text_matches_str(no_int_str_limit):
         assert cli._decimal_text(value) == str(value)
 
 
-def test_long_results_print_like_str(capsys, no_int_str_limit):
+def test_long_results_print_like_str(capsys, monkeypatch, no_int_str_limit):
     expected = str(count_universal(20_000, 1, 10))
     assert len(expected) > len(str(1 << cli._STR_BITS))
     argv = ("count", "--n", "20000", "--k", "1", "--sigma", "10")
     assert run_cli(capsys, *argv) == (0, expected + "\n", "")
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert (code, json.loads(out)["result"]) == (0, expected)
+
+    counts = {
+        "index_zero": count_index_zero(20_000, 10),
+        "one_universal": count_one_universal(20_000, 10),
+        "arches": count_arches(20_000, 10),
+    }
+    assert all(value.bit_length() > cli._STR_BITS for value in counts.values())
+    converted = []
+    monkeypatch.setattr(
+        cli, "_decimal_text", lambda value: converted.append(value) or _decimal_text(value)
+    )
+    argv = ("closed-forms", "--n", "20000", "--sigma", "10")
+    text = "index-zero: {index_zero}\none-universal: {one_universal}\narches: {arches}\n"
+    assert run_cli(capsys, *argv) == (0, text.format(**counts), "")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert (code, json.loads(out)["result"]) == (0, {k: str(v) for k, v in counts.items()})
+    assert converted == list(counts.values()) * 2
 
 
 def test_symbol_out_of_range_exits_2(capsys):

@@ -11,13 +11,16 @@ from universal_words import (
     InvalidK,
     LengthMismatch,
     RankResult,
+    Word,
     build_table,
     count_universal,
+    is_k_universal,
     make_word,
+    parse_word,
     rank,
 )
 from universal_words import counting
-from universal_words.closed_forms import count_one_universal
+from universal_words.closed_forms import count_index_zero, count_one_universal
 from universal_words.oracle import brute_enumerate
 
 from brute_force import brute_count
@@ -99,6 +102,7 @@ def test_spot_counts():
     assert count_universal(3, 2, 2) == 0
     assert count_universal(0, 0, 4) == 1
     assert count_universal(0, 1, 4) == 0
+    assert count_universal(10**4, 0, 10) == 10**10000
 
 
 def test_tight_words_are_permutation_blocks():
@@ -237,6 +241,39 @@ def test_parameters_raise_typed_errors():
         count_universal(6, 1, 2, t)
     with pytest.raises(AlphabetMismatch):
         count_universal(6, 2, 3, t)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: Word((), 0), AlphabetMismatch),
+        (lambda: make_word([], 0), AlphabetMismatch),
+        (lambda: parse_word("", 0), AlphabetMismatch),
+        (lambda: build_table(1, 1, 0), AlphabetMismatch),
+        (lambda: count_universal(1, 1, 0), AlphabetMismatch),
+        (lambda: count_index_zero(1, 0), AlphabetMismatch),
+        (lambda: brute_enumerate(1, 1, 0), AlphabetMismatch),
+        (lambda: is_k_universal(make_word([1], 1), -1), InvalidK),
+        (lambda: build_table(1, -1, 1), InvalidK),
+        (lambda: count_universal(1, -1, 1), InvalidK),
+        (lambda: build_table(-1, 1, 1), LengthMismatch),
+    ],
+    ids=[
+        "sigma0-Word", "sigma0-make_word", "sigma0-parse_word", "sigma0-build_table",
+        "sigma0-count_universal", "sigma0-count_index_zero", "sigma0-brute_enumerate",
+        "k-1-is_k_universal", "k-1-build_table", "k-1-count_universal", "n-1-build_table",
+    ],
+)
+def test_every_entry_point_checks_parameters_alike(call, error):
+    # each raises through counting._check_params, the one parameter check
+    with pytest.raises(error) as info:
+        call()
+    message = {
+        AlphabetMismatch: "sigma must be at least 1, got 0",
+        InvalidK: "k must be nonnegative, got -1",
+        LengthMismatch: "length n must be nonnegative, got -1",
+    }[error]
+    assert str(info.value) == message
 
 
 def test_instrumentation_counters():

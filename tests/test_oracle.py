@@ -13,7 +13,7 @@ from universal_words import (
 )
 from universal_words.oracle import brute_enumerate
 
-from brute_force import brute_count, brute_is_k_universal, brute_rank, brute_universality_index
+from brute_force import brute_count, brute_index, brute_is_k_universal, brute_rank
 
 
 def test_fixture_words():
@@ -34,9 +34,9 @@ def test_trivial_cases():
 
 
 def test_universality_index_examples():
-    assert brute_universality_index(parse_word("11234432122314332144", 4)) == 4
-    assert brute_universality_index(parse_word("1111", 2)) == 0
-    assert brute_universality_index(parse_word("121212", 2)) == 3
+    assert brute_index(parse_word("11234432122314332144", 4)) == 4
+    assert brute_index(parse_word("1111", 2)) == 0
+    assert brute_index(parse_word("121212", 2)) == 3
 
 
 def test_enumerate_small_sets():
@@ -72,7 +72,7 @@ def test_guards_are_hard_errors():
     with pytest.raises(GuardExceeded):
         brute_enumerate(30, 1, 2)
     with pytest.raises(GuardExceeded):
-        brute_universality_index(make_word(list(range(1, 11)) * 8, 10))
+        brute_index(make_word(list(range(1, 11)) * 8, 10))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from universal_words import (
-    Alphabet,
     AlphabetMismatch,
     ParseError,
     SymbolOutOfRange,
@@ -21,7 +20,7 @@ def test_make_word_accepts_valid_symbols():
     w = make_word([1, 2, 1, 2], 2)
     assert w.symbols == (1, 2, 1, 2)
     assert len(w) == 4
-    assert w.alphabet.sigma == 2
+    assert w.sigma == 2
 
 
 def test_make_word_rejects_out_of_range_symbol_with_position():
@@ -50,7 +49,7 @@ def test_alphabet_requires_positive_sigma():
 
 def test_public_constructors_still_validate():
     with pytest.raises(SymbolOutOfRange):
-        Word((0,), Alphabet(2))
+        Word((0,), 2)
     with pytest.raises(SymbolOutOfRange):
         make_word([3], 2)
 
@@ -60,7 +59,22 @@ def test_bad_alphabet_size_is_a_package_error():
         with pytest.raises(AlphabetMismatch):
             make_word((1,), sigma)
         with pytest.raises(UniversalWordsError):
-            Alphabet(sigma)
+            Word((1,), sigma)
+
+
+def test_constructor_stores_any_iterable_as_a_tuple():
+    expected = make_word((1, 2, 2), 2)
+    for symbols in ([1, 2, 2], (s for s in (1, 2, 2))):
+        w = Word(symbols, 2)
+        assert type(w.symbols) is tuple
+        assert w == expected and hash(w) == hash(expected)
+        with pytest.raises(AttributeError):
+            w.symbols.append(7)
+        assert w.symbols == (1, 2, 2)
+    source = [1, 2]
+    w = make_word(source, 2)
+    source.append(1)
+    assert w.symbols == (1, 2)
 
 
 def test_format_digits_and_comma_modes():
@@ -162,12 +176,12 @@ def words(draw, max_sigma=6, max_len=40):
 
 @given(words())
 def test_parse_format_round_trip(w):
-    assert parse_word(format_word(w), w.alphabet.sigma) == w
+    assert parse_word(format_word(w), w.sigma) == w
 
 
 @given(words(max_sigma=15))
 def test_round_trip_survives_wide_alphabets(w):
-    assert parse_word(format_word(w), w.alphabet.sigma).symbols == w.symbols
+    assert parse_word(format_word(w), w.sigma).symbols == w.symbols
 
 
 def test_word_is_hashable_and_repr_readable():
