@@ -20,8 +20,8 @@ So the counts form one chain of rows, d = 0..k*sigma, each one pass over the
 row before it. In generating-function terms every arch multiplies the series
 1/(1 - sigma x) by sigma! x**sigma / prod_{i<sigma} (1 - i x). The zero-slack
 cells come out of the same pass as (sigma - q)! * (sigma!)**(c - 1), with c
-the arches still owed. Rows whose open arch holds 0 or 1 symbols are built in
-C (see _chain); at sigma = 2 that is every row.
+the arches still owed. Rows whose open arch holds 1 symbol are built in C (see
+_chain); at sigma = 2 that is every row that is built.
 
 Only slack m <= n - k*sigma is ever read: after i symbols owing d,
 i >= k*sigma - d, so the slack n - i - d of any completion is at most
@@ -29,10 +29,20 @@ n - k*sigma. That holds for the powers too: rows[0] is read either after a
 symbol that closes the k-th arch, which the bound above covers, or by the
 base-sigma conversion of the free suffix after that arch, which is at most
 n - k*sigma symbols long and reads powers of at most half its length. So
-every row, the power row included, stops at slack n - k*sigma, and the table
-is a rectangle of (k*sigma + 1) * (n - k*sigma + 1) cells, empty when
-n < k*sigma. The set of k-universal words of length n has size
-rows[k*sigma][n - k*sigma], or 0 when n < k*sigma.
+every row, the power row included, stops at slack n - k*sigma.
+
+Not every row is stored. A row d = c*sigma, c >= 1, whose open arch is empty
+(q = 0) is by the recurrence sigma times the row below it,
+rows[c*sigma][m] = sigma * rows[c*sigma - 1][m]. For sigma >= 2 it is not
+built: the next row takes the factor sigma into its own pass, and the only
+read that reaches it, the count of a new symbol that closes an arch, reads
+sigma times the row below (no read repeats a symbol of an empty arch). Its
+place holds None, so row indices stay d and a stray read fails loudly. The
+table stores k*(sigma - 1) + 1 rows of n - k*sigma + 1 cells, half the
+rectangle at sigma = 2, and none when n < k*sigma. sigma = 1 has no row with
+q >= 1 to fold into and keeps its k + 1 rows of ones. The set of k-universal
+words of length n has size rows[k*sigma][n - k*sigma], that is
+sigma * rows[k*sigma - 1][n - k*sigma] for k >= 1, or 0 when n < k*sigma.
 
 A count alone needs no table. With M = n - k*sigma the generating function
 above gives |U| = (sigma!)**k [x**M] 1/Q(x), where
@@ -68,7 +78,7 @@ against k*sigma).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import factorial, lcm, prod
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
@@ -94,22 +104,25 @@ class SuffixCountTable:
 
     rows[d][m] counts the completions of a state owing d symbols with slack m
     (see the module docstring): rows[0] is sigma**m, and every row d = 0 to
-    k*sigma covers m <= n - k*sigma. Each row is stored once. Values are exact
-    arbitrary-precision integers. ``lookups`` counts cell reads: the one of
-    count_universal(), the power-row reads of free_suffix() and free_rank(),
-    and the reads that rank, unrank and enumeration make in place and add
-    once per call. ``build_ops`` is the number of cells built. Both are
-    advisory instrumentation, not value state.
+    k*sigma covers m <= n - k*sigma. For sigma >= 2 a row d = c*sigma, c >= 1,
+    is None: it is sigma * rows[d - 1], and readers multiply. No row is
+    stored twice. Values are exact arbitrary-precision integers. ``lookups``
+    counts cell reads, a read of sigma times a cell of the row below a
+    left-out row included: the one of count_universal(), the power-row reads
+    of free_suffix() and free_rank(), and the reads that rank, unrank and
+    enumeration make in place and add once per call. ``build_ops`` is the
+    number of cells built. Both are advisory instrumentation, not value
+    state.
     """
 
     __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
 
-    def __init__(self, n: int, k: int, sigma: int, rows: list[list[int]]):
+    def __init__(self, n: int, k: int, sigma: int, rows: list[list[int] | None]):
         self.n = n
         self.k = k
         self.sigma = sigma
         self.rows = rows
-        self.build_ops = sum(map(len, rows))
+        self.build_ops = sum(len(row) for row in rows if row is not None)
         self.lookups = 0
 
     def free_suffix(self, x: int, length: int) -> list[int]:
@@ -180,10 +193,17 @@ class SuffixCountTable:
 
 
 def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> None:
-    """Reject negative n or k and sigma < 1, or a table built for other parameters.
+    """Reject a non-int (bool included), negative n or k, sigma < 1, or a
+    table built for other parameters.
 
     The package's one parameter check: words, tables, counts and the oracle
     all call it, so a bad value raises the same typed error everywhere."""
+    if type(k) is not int:
+        raise InvalidK(f"k must be an int, got {k!r}")
+    if type(n) is not int:
+        raise LengthMismatch(f"length n must be an int, got {n!r}")
+    if type(sigma) is not int:
+        raise AlphabetMismatch(f"sigma must be an int, got {sigma!r}")
     if table is not None:
         if k != table.k:
             raise InvalidK(f"table built for k={table.k}, queried with k={k}")
@@ -202,25 +222,34 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
         raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
 
 
-def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
+def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
     """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m.
 
-    Each row is a new list, one pass over the row before it. With q the open
-    arch's size, a q = 0 row is sigma times the row before (one map), and a
-    q = 1 row is the prefix sums of grow = sigma - 1 times it (one
-    accumulate, with no product when grow = 1): both run in C. Other rows
-    take one interpreter step per cell, two small-by-big products and a sum.
+    Each row is a new list, one pass over the last row built. With q the open
+    arch's size, a q = 0 row d >= sigma is sigma times the row before: for
+    sigma >= 2 it is yielded as None and not built, and the next row, whose
+    grow = sigma - q is 1, multiplies by sigma instead. At sigma = 1 every row
+    is q = 0 and a copy of the row of ones. A q = 1 row is the prefix sums of
+    grow times the row before (one accumulate, with no product when
+    grow = 1), which runs in C. Other rows take one interpreter step per cell,
+    two small-by-big products and a sum.
     """
     width = n - k * sigma + 1
     row = [1] * width
     for m in range(1, width):
         row[m] = row[m - 1] * sigma
     yield row
+    fold = 1  # sigma after a row left out: the next row multiplies for it
     for d in range(1, k * sigma + 1):
         q = -d % sigma  # size of the open arch
-        grow = sigma - q
+        if q == 0 and sigma > 1:
+            fold = sigma
+            yield None
+            continue
+        grow = (sigma - q) * fold
+        fold = 1
         if q == 0:
-            row = list(map(sigma.__mul__, row))
+            row = row.copy()
         elif q == 1:
             row = list(accumulate(row if grow == 1 else map(grow.__mul__, row)))
         else:
@@ -234,8 +263,10 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int]]:
 
 
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
-    """Keep every row of the chain: (k*sigma + 1) * (n - k*sigma + 1) cells,
-    none when n < k*sigma."""
+    """Keep every row of the chain that is built: for sigma >= 2,
+    (k*(sigma - 1) + 1) * (n - k*sigma + 1) cells, the k rows d = c*sigma
+    being None; for sigma = 1, (k + 1) * (n - k + 1) cells. None when
+    n < k*sigma."""
     _check_params(n, k, sigma)
     return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)))
 
@@ -280,19 +311,20 @@ def _count_by_poles(n: int, k: int, sigma: int) -> int:
 def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> int:
     """Exact number of k-universal words of length n over {1..sigma}.
 
-    With a table this is its last cell. Without one it is the partial-fraction
-    sum of the module docstring, or, when the chain has fewer cells than that
-    sum has series steps, the chain with only its current row kept.
+    With a table this is its last cell, sigma times the last cell of row
+    k*sigma - 1 when k >= 1. Without one it is the partial-fraction sum of
+    the module docstring, or, when the chain has fewer cells than that sum
+    has series steps, the chain up to row k*sigma - 1 with only its current
+    row kept.
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
         return 0
     if table is not None:
         table.lookups += 1
-        return table.rows[-1][-1]
+        return sigma * table.rows[-2][-1] if k else table.rows[0][-1]
     deg = (sigma - 1) * k + 1
     if deg * deg - (sigma - 1) * k * k - 1 <= (n - k * sigma + 1) * (k * sigma + 1):
         return _count_by_poles(n, k, sigma)
-    for row in _chain(n, k, sigma):
-        pass
-    return row[-1]
+    # k >= 1 here: at k = 0 the sum has no series steps
+    return sigma * next(islice(_chain(n, k, sigma), k * sigma - 1, None))[-1]

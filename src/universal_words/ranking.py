@@ -6,10 +6,14 @@ w[1,i-1]x for each symbol x below w[i]: smaller symbols that repeat one already
 seen in the open arch keep the d symbols still owed and burn a free slot,
 smaller new symbols owe one less. Once the slack is fixed by the remaining
 length both contributions are single cells, rows[d][slack] and
-rows[d - 1][slack + 1], so the scan makes at most two reads per position. Once k arches have closed the word is a member whatever follows,
-and the rest of it is a free suffix: its completions are counted in one
-base-sigma conversion, table.free_rank, which reads O((n - i) / 512) powers
-for 2 <= sigma <= 36 and O((n - i) / 32) otherwise.
+rows[d - 1][slack + 1], so the scan makes at most two reads per position.
+Where a new symbol would close an arch, row d - 1 is not stored (it is sigma
+times the row below, see counting), so that one read is
+sigma * rows[d - 2][slack + 1]. Once k arches have closed the word is a
+member whatever follows, and the rest of it is a free suffix: its
+completions are counted in one base-sigma conversion, table.free_rank, which
+reads O((n - i) / 512) powers for 2 <= sigma <= 36 and O((n - i) / 32)
+otherwise.
 Words that are not members get the rank they would receive on insertion.
 """
 
@@ -30,7 +34,11 @@ class RankResult(_Value):
 
 
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
-    """0-based rank of w among the k-universal words of its length."""
+    """0-based rank of w among the k-universal words of its length.
+
+    Reads at most two cells per position, one of them sigma * rows[d - 2]
+    where row d - 1 is left out of the table; table.lookups counts each read
+    once."""
     n = len(w.symbols)
     sigma = w.sigma
     _check_params(n, k, sigma, table)
@@ -54,7 +62,11 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
                 total += repeats * rows[d][slack]
                 reads += 1
             if news and slack + 1 >= 0:
-                total += news * rows[d - 1][slack + 1]
+                below = rows[d - 1]
+                if below is None:  # a new symbol closes the arch
+                    total += news * sigma * rows[d - 2][slack + 1]
+                else:
+                    total += news * below[slack + 1]
                 reads += 1
         bit = 1 << s
         if not mask & bit:

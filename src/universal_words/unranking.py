@@ -22,7 +22,9 @@ def _descend(
     new, and each kind has one count: a new symbol's is one read, and a
     repeat's a second read only where the open arch is non-empty and a repeat
     can still complete. Every state visited can still complete (n - j >= d),
-    so the count of a new symbol is always a cell. Once k arches have closed
+    so the count of a new symbol is always a cell; where that symbol closes
+    an arch its row is left out of the table, and the one read is
+    sigma * rows[d - 2][slack + 1]. Once k arches have closed
     every suffix completes the word, so the rest is the base-sigma digits of
     what is left of rem, filled in one conversion (table.free_suffix).
     Returns where that free suffix starts, len(states) - 1. unrank()
@@ -36,7 +38,11 @@ def _descend(
     d, mask = states[j]
     while d:
         slack = n - j - 1 - d  # slack after a repeated symbol
-        new_count = rows[d - 1][slack + 1]
+        below = rows[d - 1]
+        if below is None:  # a new symbol closes the arch
+            new_count = sigma * rows[d - 2][slack + 1]
+        else:
+            new_count = below[slack + 1]
         if mask and slack >= 0:
             rep_count = rows[d][slack]
             reads += 2

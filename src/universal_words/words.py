@@ -44,11 +44,17 @@ class _Value:
         return type(self), self._fields()
 
 
+_INT = {int}
+
+
 class Word(_Value):
     """An immutable word over {1, ..., sigma}: a tuple of 1-based integer symbols.
 
     Word(symbols, sigma) checks sigma and every symbol and stores the symbols
-    as a tuple; make_word is the same constructor.
+    as a tuple; make_word is the same constructor. A symbol must be an int
+    (not a bool or a float, even one equal to an int) in 1..sigma. Valid
+    symbols are checked in C: the set of their types, then the least and
+    greatest of their distinct values.
     """
 
     __slots__ = ("symbols", "sigma")
@@ -56,9 +62,13 @@ class Word(_Value):
     def __init__(self, symbols: Iterable[int], sigma: int):
         _check_params(0, 0, sigma)
         symbols = tuple(symbols)
-        if not all(1 <= s <= sigma for s in symbols):
+        if symbols and not (
+            set(map(type, symbols)) == _INT
+            and 1 <= min(distinct := set(symbols))
+            and max(distinct) <= sigma
+        ):
             for pos, s in enumerate(symbols, 1):
-                if not 1 <= s <= sigma:
+                if type(s) is not int or not 1 <= s <= sigma:
                     raise SymbolOutOfRange(pos, s)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "sigma", sigma)

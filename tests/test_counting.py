@@ -14,10 +14,12 @@ from universal_words import (
     Word,
     build_table,
     count_universal,
+    enumerate_words,
     is_k_universal,
     make_word,
     parse_word,
     rank,
+    unrank,
 )
 from universal_words import counting
 from universal_words.closed_forms import count_index_zero, count_one_universal
@@ -45,8 +47,11 @@ def _completion_count(q, m, c, sigma):
 
 def _cell(t, q, m, c):
     """The completions after q symbols of an open arch with c arches owed (the
-    open one included) and slack m: row d = c*sigma - q, or 0 when c = 0."""
-    return t.rows[c * t.sigma - q if c else 0][m]
+    open one included) and slack m: row d = c*sigma - q, or 0 when c = 0. A
+    row left out of the table (q = 0, sigma >= 2) is sigma*rows[d-1][m]."""
+    d = c * t.sigma - q if c else 0
+    row = t.rows[d]
+    return t.sigma * t.rows[d - 1][m] if row is None else row[m]
 
 
 def test_zero_slack_cells_are_forced_permutations():
@@ -139,15 +144,16 @@ def test_table_free_count_computes_no_unread_powers(monkeypatch):
 
     def recording(n, k, sigma):
         rows = list(chain(n, k, sigma))
-        widths.append([len(row) for row in rows])
+        widths.append([len(row) for row in rows if row is not None])
         return iter(rows)
 
     monkeypatch.setattr(counting, "_chain", recording)
     assert count_universal(10**6, 0, 2) == 1 << 10**6
     assert widths == []
-    # (16, 3, 4): 72 series steps against 5 * 13 cells, so the chain runs
+    # (16, 3, 4): 72 series steps against 5 * 13 cells, so the chain runs;
+    # it builds the k*(sigma - 1) + 1 rows that are not sigma times the last
     assert count_universal(16, 3, 4) == brute_count(16, 3, 4)
-    assert widths == [[16 - 3 * 4 + 1] * (3 * 4 + 1)]
+    assert widths == [[16 - 3 * 4 + 1] * (3 * 3 + 1)]
     # partial fractions are cheaper here: no chain
     assert count_universal(40, 3, 4) == brute_count(40, 3, 4)
     count_universal(2000, 20, 10)
@@ -243,50 +249,77 @@ def test_parameters_raise_typed_errors():
         count_universal(6, 2, 3, t)
 
 
+_MESSAGES = {
+    AlphabetMismatch: "sigma must be at least 1, got 0",
+    InvalidK: "k must be nonnegative, got -1",
+    LengthMismatch: "length n must be nonnegative, got -1",
+}
+
+
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: Word((), 0), AlphabetMismatch),
-        (lambda: make_word([], 0), AlphabetMismatch),
-        (lambda: parse_word("", 0), AlphabetMismatch),
-        (lambda: build_table(1, 1, 0), AlphabetMismatch),
-        (lambda: count_universal(1, 1, 0), AlphabetMismatch),
-        (lambda: count_index_zero(1, 0), AlphabetMismatch),
-        (lambda: brute_enumerate(1, 1, 0), AlphabetMismatch),
-        (lambda: is_k_universal(make_word([1], 1), -1), InvalidK),
-        (lambda: build_table(1, -1, 1), InvalidK),
-        (lambda: count_universal(1, -1, 1), InvalidK),
-        (lambda: build_table(-1, 1, 1), LengthMismatch),
+        (lambda: Word((), 0), AlphabetMismatch, None),
+        (lambda: make_word([], 0), AlphabetMismatch, None),
+        (lambda: parse_word("", 0), AlphabetMismatch, None),
+        (lambda: build_table(1, 1, 0), AlphabetMismatch, None),
+        (lambda: count_universal(1, 1, 0), AlphabetMismatch, None),
+        (lambda: count_index_zero(1, 0), AlphabetMismatch, None),
+        (lambda: brute_enumerate(1, 1, 0), AlphabetMismatch, None),
+        (lambda: is_k_universal(make_word([1], 1), -1), InvalidK, None),
+        (lambda: build_table(1, -1, 1), InvalidK, None),
+        (lambda: count_universal(1, -1, 1), InvalidK, None),
+        (lambda: build_table(-1, 1, 1), LengthMismatch, None),
+        # a bool or a float is refused even where it equals a valid int
+        (lambda: Word([1], 2.0), AlphabetMismatch, "sigma must be an int, got 2.0"),
+        (lambda: parse_word("1", True), AlphabetMismatch, "sigma must be an int, got True"),
+        (lambda: build_table(4, 1, 2.0), AlphabetMismatch, "sigma must be an int, got 2.0"),
+        (lambda: brute_enumerate(2, 1, True), AlphabetMismatch, "sigma must be an int, got True"),
+        (lambda: is_k_universal(make_word([1], 1), True), InvalidK, "k must be an int, got True"),
+        (lambda: build_table(4, 1.0, 2), InvalidK, "k must be an int, got 1.0"),
+        (lambda: count_universal(4, 0.5, 2), InvalidK, "k must be an int, got 0.5"),
+        (lambda: build_table(4.0, 1, 2), LengthMismatch, "length n must be an int, got 4.0"),
+        (lambda: count_universal(True, 0, 2), LengthMismatch, "length n must be an int, got True"),
+        (
+            lambda: count_universal(6.0, 2, 2, build_table(6, 2, 2)),
+            LengthMismatch,
+            "length n must be an int, got 6.0",
+        ),
     ],
     ids=[
         "sigma0-Word", "sigma0-make_word", "sigma0-parse_word", "sigma0-build_table",
         "sigma0-count_universal", "sigma0-count_index_zero", "sigma0-brute_enumerate",
         "k-1-is_k_universal", "k-1-build_table", "k-1-count_universal", "n-1-build_table",
+        "sigma-float-Word", "sigma-bool-parse_word", "sigma-float-build_table",
+        "sigma-bool-brute_enumerate", "k-bool-is_k_universal", "k-float-build_table",
+        "k-float-count_universal", "n-float-build_table", "n-bool-count_universal",
+        "n-float-count_universal-with-table",
     ],
 )
-def test_every_entry_point_checks_parameters_alike(call, error):
+def test_every_entry_point_checks_parameters_alike(call, error, message):
     # each raises through counting._check_params, the one parameter check
     with pytest.raises(error) as info:
         call()
-    message = {
-        AlphabetMismatch: "sigma must be at least 1, got 0",
-        InvalidK: "k must be nonnegative, got -1",
-        LengthMismatch: "length n must be nonnegative, got -1",
-    }[error]
-    assert str(info.value) == message
+    assert str(info.value) == (message or _MESSAGES[error])
+
+
+def _stored_cells(n, k, sigma):
+    """k*(sigma - 1) + 1 rows, the powers included, for sigma >= 2 (k + 1 for
+    sigma = 1), over slack m <= n - k*sigma."""
+    rows = k * (sigma - 1) + 1 if sigma > 1 else k + 1
+    return rows * max(n - k * sigma + 1, 0)
 
 
 def test_instrumentation_counters():
     t = build_table(10, 2, 2)
-    # k*sigma + 1 rows, the powers included, over slack m <= 10 - 2*2
-    assert t.build_ops == 5 * 7
+    assert t.build_ops == _stored_cells(10, 2, 2) == 3 * 7
     before = t.lookups
     count_universal(10, 2, 2, t)
     assert t.lookups == before + 1
 
 
 @pytest.mark.parametrize(
-    "n, k, sigma, stored", [(12, 2, 3, 49), (9, 4, 1, 30), (7, 0, 3, 8), (5, 2, 3, 0)]
+    "n, k, sigma, stored", [(12, 2, 3, 35), (9, 4, 1, 30), (7, 0, 3, 8), (5, 2, 3, 0)]
 )
 def test_table_stores_each_row_once(n, k, sigma, stored):
     # every int reachable from the table's list attributes, each reference
@@ -301,7 +334,7 @@ def test_table_stores_each_row_once(n, k, sigma, stored):
             stack.extend(item)
         elif isinstance(item, int):
             cells += 1
-    assert cells == stored == t.build_ops == (k * sigma + 1) * (n - k * sigma + 1)
+    assert cells == stored == t.build_ops == _stored_cells(n, k, sigma)
 
 
 def _reference_rows(n, k, sigma):
@@ -317,17 +350,60 @@ def _reference_rows(n, k, sigma):
     return rows
 
 
+def _queries(t, rng):
+    """rank, unrank and a 50-word enumeration slice on table t, each result
+    paired with the cell reads it added to t.lookups."""
+    n, k, sigma = t.n, t.k, t.sigma
+    out = []
+
+    def record(result):
+        nonlocal before
+        out.append((result, t.lookups - before))
+        before = t.lookups
+
+    before = t.lookups
+    total = count_universal(n, k, sigma, t)
+    record(total)
+    ranks = [0, 1, total - 1] + [rng.randrange(total) for _ in range(6)]
+    members = []
+    for r in ranks:
+        members.append(unrank(r, n, k, sigma, t))
+        record(members[-1])
+    randoms = [make_word(rng.choices(range(1, sigma + 1), k=n), sigma) for _ in range(6)]
+    for w in members + randoms:
+        record(rank(w, k, t))
+    for start in (0, rng.randrange(total - 50), total - 50):
+        record(list(enumerate_words(n, k, sigma, from_rank=start, limit=50, table=t)))
+    return out
+
+
+@pytest.mark.parametrize("n, k, sigma", [(300, 10, 4), (120, 3, 12), (400, 20, 10), (1000, 450, 2)])
+def test_folded_table_queries_like_the_full_rectangle(n, k, sigma):
+    # the full rectangle of the cell recurrence stores the q = 0 rows that
+    # build_table leaves out, so every read there is a plain cell; the folded
+    # table reads sigma times the row below instead, counted as one read
+    full = counting.SuffixCountTable(n, k, sigma, _reference_rows(n, k, sigma))
+    folded = build_table(n, k, sigma)
+    assert None not in full.rows
+    assert sum(row is None for row in folded.rows) == k
+    expected = _queries(full, random.Random(n + k + sigma))
+    assert _queries(folded, random.Random(n + k + sigma)) == expected
+    assert full.lookups == folded.lookups
+
+
 def _row_kind(d, sigma):
     q = -d % sigma
+    if d == 0:
+        return "powers"
     if q == 0:
-        return "q0"
+        return "q0, sigma 1" if sigma == 1 else "left out"
     if q == 1:
-        return "q1, grow 1" if sigma == 2 else "q1, grow > 1"
-    return "other"
+        return "q1, grow 1" if sigma == 2 and d == 1 else "q1, grow > 1"
+    return "other, folded" if q == sigma - 1 and d > sigma else "other"
 
 
 def test_chain_rows_match_the_cell_recurrence():
-    shapes = [(1000, 450, 2)]  # the tight benchmark case, 91,001 cells
+    shapes = [(1000, 450, 2)]  # the tight benchmark case, 45,551 stored cells
     for sigma in (1, 2, 3, 4, 10, 37):
         for k in (0, 1, 2, 3):
             shapes += [(k * sigma + w, k, sigma) for w in (0, 1, 2, 17)]
@@ -336,21 +412,32 @@ def test_chain_rows_match_the_cell_recurrence():
     kinds = set()
     for n, k, sigma in shapes:
         rows = list(counting._chain(n, k, sigma))
-        assert rows == _reference_rows(n, k, sigma), (n, k, sigma)
-        assert len(rows) == k * sigma + 1
-        assert all(len(row) == max(n - k * sigma + 1, 0) for row in rows)
+        reference = _reference_rows(n, k, sigma)
+        assert len(rows) == len(reference) == k * sigma + 1
+        for d, (row, ref) in enumerate(zip(rows, reference)):
+            if _row_kind(d, sigma) == "left out":
+                assert row is None, (n, k, sigma, d)
+                assert ref == [sigma * x for x in reference[d - 1]], (n, k, sigma, d)
+            else:
+                assert row == ref, (n, k, sigma, d)
+        stored = [row for row in rows if row is not None]
+        assert len(stored) == (k * (sigma - 1) + 1 if sigma > 1 else k + 1)
+        assert all(len(row) == max(n - k * sigma + 1, 0) for row in stored)
         # every row its own list: build_ops counts each cell once
-        assert len({id(row) for row in rows}) == len(rows)
+        assert len({id(row) for row in stored}) == len(stored)
         if n >= k * sigma:
             kinds.update(_row_kind(d, sigma) for d in range(1, k * sigma + 1))
-    assert kinds == {"q0", "q1, grow 1", "q1, grow > 1", "other"}
+    assert kinds == {
+        "q0, sigma 1", "left out", "q1, grow 1", "q1, grow > 1", "other", "other, folded"
+    }
 
 
 def test_empty_set_table_still_ranks_every_word():
     # n = k*sigma - 1: no completion has room, so the rows are empty and no
     # rank reads a cell
     t = build_table(5, 2, 3)
-    assert t.rows == [[]] * 7
+    assert len(t.rows) == 7
+    assert [row for row in t.rows if row is not None] == [[]] * 5
     for syms in product(range(1, 4), repeat=5):
         assert rank(make_word(syms, 3), 2, t) == RankResult(0, False)
     assert t.lookups == 0

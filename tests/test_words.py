@@ -35,6 +35,29 @@ def test_make_word_rejects_zero_symbol():
         make_word([0], 3)
 
 
+@pytest.mark.parametrize(
+    "symbols, position",
+    [
+        ([1.5, 2], 1),
+        ([True, 2], 1),
+        ([1, 2, 2.0], 3),
+        ([2, False], 2),
+        ([1, "2"], 2),
+        ([1, None], 2),
+        ([1] * 600 + [1.0] + [2] * 600, 601),
+    ],
+    ids=["float", "true", "integral-float", "false", "text", "none", "long"],
+)
+def test_make_word_rejects_non_int_symbol_with_position(symbols, position):
+    # a bool or a float equal to a symbol is refused too: it would pass a
+    # range check, then fail in rank or format_word with a bare TypeError
+    for construct in (make_word, Word):
+        with pytest.raises(SymbolOutOfRange) as info:
+            construct(symbols, 2)
+        assert info.value.position == position
+        assert info.value.value is symbols[position - 1]
+
+
 def test_empty_word():
     w = make_word([], 5)
     assert len(w) == 0
