@@ -62,17 +62,33 @@ where y = 1 - i x. There 1 - l x = ((i - l)/i) (1 + l y/(i - l)), so
 
 with E_i = prod_{l != i} (i - l)**m_l. Putting y = D_i z with
 D_i = prod_{l != i} (i - l) makes every s_l = l D_i/(i - l) an integer, so the
-product is a series sum_t b_t z**t with integer coefficients, built to
-t = m_i - 1 by m_l divisions by each (1 + s_l z): b[t] -= s_l * b[t - 1].
+product is a series b(z) = sum_t b_t z**t with integer coefficients, built to
+t = m_i - 1 from its logarithmic derivative. Let c be the product over the
+k-fold poles l < sigma alone. Then c'/c = sum_l -k s_l/(1 + s_l z) gives
+
+    t c_t = -k sum_l h_l(t - 1),   h_l(t) = s_l (c_t - h_l(t - 1)),
+
+with h_l(0) = s_l; h_l(t) is s_l times the coefficient of z**t in
+c/(1 + s_l z). That is one running sum per k-fold pole and one exact division
+by t per coefficient, with an AssertionError on a remainder. One division by
+the simple pole's (1 + s_sigma z), b_t = c_t - s_sigma b_(t - 1), then gives
+b. At sigma = 2 no pole has a k-fold partner, c = 1, and only that division
+runs. The series cost (sigma - 1)(k - 1)(sigma - 2) running-sum updates and
+2 (sigma - 1)(k - 1) steps, about 1,700 at (k, sigma) = (20, 10), where m_l
+divisions by each (1 + s_l z) took sum_i m_i (D - m_i) = 29,160.
 Then A_ij = i**(D - m_i) b_(m_i - j) / (E_i D_i**(m_i - j)), and each pole
 contributes one fraction over E_i D_i**(m_i - 1). The fractions are joined
 over the lcm of their denominators and divided exactly, with an
-AssertionError on a remainder; nothing is rounded. The cost is about
-sum_i m_i (D - m_i) = D**2 - (sigma - 1)*k**2 - 1 small series steps plus
-sigma powers of M*log2(sigma) bits, against (M + 1)(k*sigma + 1) cells for
-the chain, so a count without a table takes partial fractions exactly when
-the first is at most the second, and the chain otherwise (when M is small
-against k*sigma).
+AssertionError on a remainder; nothing is rounded.
+
+A count without a table takes the cheaper of the two by an estimate in chain
+cells, fitted to timings of both (2-vCPU VM, Python 3.11). Each pole costs
+about 2k(sigma - 1) + 24 cells: its series, its binomial loop, its power of
+about M*log2(i) bits and its products over the other poles. The chain up to
+row k*sigma - 1 costs its (M + 1)(k(sigma - 1) + 1) built cells and about 2
+more per row. So the chain runs only while M is small: M < 19 at
+(k, sigma) = (20, 10), M < 39 at (1, 10) and M < 89 at (2, 40), where the
+measured crossovers were 19, 41 and 87.
 """
 
 from __future__ import annotations
@@ -285,13 +301,23 @@ def _count_by_poles(n: int, k: int, sigma: int) -> int:
         m_i = mult[i]
         others = [l for l in poles if l != i]
         d_i = prod(i - l for l in others)
-        # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1)
+        # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1): first the
+        # product c over the k-fold poles l < sigma by running sums (none at
+        # sigma = 2, where c = 1), then one division by the simple pole's
+        # (1 + s z); m_sigma = 1 leaves b = [1]
         b = [1] + [0] * (m_i - 1)
-        for l in others:
-            s = l * d_i // (i - l)
-            for _ in range(mult[l]):
-                for t in range(1, m_i):
-                    b[t] -= s * b[t - 1]
+        folds = [l * d_i // (i - l) for l in others if l < sigma]  # s_l, l k-fold
+        h = folds  # h_l(t - 1): s_l times [z**(t - 1)] c / (1 + s_l z)
+        for t in range(1, m_i if folds else 1):
+            c, rem = divmod(-k * sum(h), t)
+            if rem:
+                raise AssertionError("a pole's series left a nonzero remainder")
+            b[t] = c
+            h = [s_l * (c - h_l) for s_l, h_l in zip(folds, h)]
+        if i < sigma:
+            s = sigma * d_i // (i - sigma)
+            for t in range(1, m_i):
+                b[t] -= s * b[t - 1]
         acc = 0
         binom = 1  # C(M + j - 1, j - 1)
         power = 1  # d_i**(j - 1)
@@ -313,9 +339,9 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
 
     With a table this is its last cell, sigma times the last cell of row
     k*sigma - 1 when k >= 1. Without one it is the partial-fraction sum of
-    the module docstring, or, when the chain has fewer cells than that sum
-    has series steps, the chain up to row k*sigma - 1 with only its current
-    row kept.
+    the module docstring, or, when the chain up to row k*sigma - 1 is
+    estimated to cost less (small n - k*sigma), that chain with only its
+    current row kept.
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
@@ -323,8 +349,9 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
     if table is not None:
         table.lookups += 1
         return sigma * table.rows[-2][-1] if k else table.rows[0][-1]
-    deg = (sigma - 1) * k + 1
-    if deg * deg - (sigma - 1) * k * k - 1 <= (n - k * sigma + 1) * (k * sigma + 1):
+    # both estimates in chain cells, fitted to timings (module docstring);
+    # at k = 0 the sum is one power and the chain has no row k*sigma - 1
+    built = (n - k * sigma + 1) * (k * (sigma - 1) + 1)
+    if k == 0 or sigma * (2 * k * (sigma - 1) + 24) <= built + 2 * k * sigma:
         return _count_by_poles(n, k, sigma)
-    # k >= 1 here: at k = 0 the sum has no series steps
     return sigma * next(islice(_chain(n, k, sigma), k * sigma - 1, None))[-1]

@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
 import pytest
@@ -150,8 +150,9 @@ def test_table_free_count_computes_no_unread_powers(monkeypatch):
     monkeypatch.setattr(counting, "_chain", recording)
     assert count_universal(10**6, 0, 2) == 1 << 10**6
     assert widths == []
-    # (16, 3, 4): 72 series steps against 5 * 13 cells, so the chain runs;
-    # it builds the k*(sigma - 1) + 1 rows that are not sigma times the last
+    # (16, 3, 4): poles estimated at 4 * (2*3*3 + 24) = 168 cells against
+    # 5 * 10 + 2*3*4 = 74, so the chain runs; it builds the k*(sigma - 1) + 1
+    # rows that are not sigma times the last
     assert count_universal(16, 3, 4) == brute_count(16, 3, 4)
     assert widths == [[16 - 3 * 4 + 1] * (3 * 3 + 1)]
     # partial fractions are cheaper here: no chain
@@ -178,12 +179,12 @@ def test_table_free_count_equals_table_count_small_grid():
                 assert count_universal(n, k, sigma) == expected, (n, k, sigma)
 
 
-@pytest.mark.parametrize("k, sigma", [(1, 10), (5, 3), (3, 4), (20, 10), (2, 40)])
+@pytest.mark.parametrize("k, sigma", [(1, 10), (5, 3), (3, 4), (20, 10), (2, 40), (10, 2)])
 def test_table_free_count_agrees_on_both_sides_of_the_switch(monkeypatch, k, sigma):
-    deg = (sigma - 1) * k + 1
-    steps = deg * deg - (sigma - 1) * k * k - 1
-    # the least slack M with (M + 1)(k*sigma + 1) >= steps
-    first = -(-steps // (k * sigma + 1)) - 1
+    # the least slack M with
+    # (M + 1)(k(sigma - 1) + 1) + 2k*sigma >= sigma (2k(sigma - 1) + 24)
+    poles = sigma * (2 * k * (sigma - 1) + 24) - 2 * k * sigma
+    first = -(-poles // (k * (sigma - 1) + 1)) - 1
     assert first > 0
     for n, chained in ((k * sigma + first - 1, True), (k * sigma + first, False)):
         expected = count_universal(n, k, sigma, build_table(n, k, sigma))
@@ -191,11 +192,35 @@ def test_table_free_count_agrees_on_both_sides_of_the_switch(monkeypatch, k, sig
         assert counting._count_by_poles(n, k, sigma) == expected
 
 
+def _chain_count(n, k, sigma):
+    """sigma * rows[k*sigma - 1][M] of the chain build_table stores, one row
+    live at a time; it shares no code with the poles."""
+    return sigma * next(islice(counting._chain(n, k, sigma), k * sigma - 1, None))[-1]
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma", [(2000, 20, 10), (400, 40, 10), (1000, 450, 2), (300, 60, 4)]
+)
+def test_poles_agree_with_the_chain_where_each_series_is_long(n, k, sigma):
+    # each pole 1/i < 1/sigma carries a series of m_i = k terms
+    assert counting._count_by_poles(n, k, sigma) == _chain_count(n, k, sigma)
+
+
+def test_poles_agree_with_the_chain_on_a_grid_of_series_lengths():
+    for sigma in range(1, 9):
+        for k in (1, 2, 5, 9, 12):
+            for big_m in (0, 1, 7, 24):
+                n = k * sigma + big_m
+                assert counting._count_by_poles(n, k, sigma) == _chain_count(n, k, sigma), (
+                    n, k, sigma,
+                )
+
+
 def test_large_n_count_at_k_one_is_inclusion_exclusion():
     assert count_universal(10**5, 1, 10) == count_one_universal(10**5, 10)
 
 
-@pytest.mark.parametrize("n, k, sigma", [(10**5, 2, 3), (5 * 10**4, 3, 4)])
+@pytest.mark.parametrize("n, k, sigma", [(10**5, 2, 3), (5 * 10**4, 3, 4), (2 * 10**4, 10, 4)])
 def test_large_n_counts_satisfy_the_recurrence_of_q(n, k, sigma):
     # Q(x) = (1 - sigma x) prod_{0<i<sigma} (1 - i x)**k multiplied out; its
     # coefficients annihilate the counts, which are (sigma!)**k [x**M] 1/Q
