@@ -61,10 +61,14 @@ where y = 1 - i x. There 1 - l x = ((i - l)/i) (1 + l y/(i - l)), so
     1/Q = y**-m_i i**(D - m_i) / E_i * prod_{l != i} (1 + l y/(i - l))**-m_l,
 
 with E_i = prod_{l != i} (i - l)**m_l. Putting y = D_i z with
-D_i = prod_{l != i} (i - l) makes every s_l = l D_i/(i - l) an integer, so the
-product is a series b(z) = sum_t b_t z**t with integer coefficients, built to
-t = m_i - 1 from its logarithmic derivative. Let c be the product over the
-k-fold poles l < sigma alone. Then c'/c = sum_l -k s_l/(1 + s_l z) gives
+D_i = prod_{l != i} (i - l) makes every s_l = l D_i/(i - l) an integer. Both
+constants come from one table of factorials in O(1) products per pole:
+D_i = (-1)**(sigma - i) (i - 1)! (sigma - i)!, E_sigma = D_sigma**k, and
+E_i = (D_i/(i - sigma))**k (i - sigma) for i < sigma. The product is a
+series b(z) = sum_t b_t z**t with integer coefficients, built to t = m_i - 1
+from its logarithmic derivative; the s_l are built only where m_i > 1. Let c
+be the product over the k-fold poles l < sigma alone. Then
+c'/c = sum_l -k s_l/(1 + s_l z) gives
 
     t c_t = -k sum_l h_l(t - 1),   h_l(t) = s_l (c_t - h_l(t - 1)),
 
@@ -84,18 +88,21 @@ AssertionError on a remainder; nothing is rounded.
 A count without a table takes the cheaper of the two by an estimate in chain
 cells, fitted to timings of both (2-vCPU VM, Python 3.11). Each pole costs
 about 2k(sigma - 1) + 24 cells: its series, its binomial loop, its power of
-about M*log2(i) bits and its products over the other poles. The chain up to
-row k*sigma - 1 costs its (M + 1)(k(sigma - 1) + 1) built cells and about 2
-more per row. So the chain runs only while M is small: M < 19 at
-(k, sigma) = (20, 10), M < 39 at (1, 10) and M < 89 at (2, 40), where the
-measured crossovers were 19, 41 and 87.
+about M*log2(i) bits and, in the fit, O(sigma) products for its constants.
+The chain up to row k*sigma - 1 costs its (M + 1)(k(sigma - 1) + 1) built
+cells and about 2 more per row. So the chain runs only while M is small:
+M < 19 at (k, sigma) = (20, 10), M < 39 at (1, 10) and M < 89 at (2, 40),
+where the measured crossovers were 19, 41 and 87. The constants now take
+O(1) products, so at small k the estimate overstates a pole: the measured
+crossovers moved to about 10 at (1, 10) and 55 at (2, 40).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, islice
-from math import factorial, lcm, prod
+from math import factorial, lcm
+from operator import mul
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
 
@@ -291,30 +298,31 @@ def _count_by_poles(n: int, k: int, sigma: int) -> int:
     """(sigma!)**k [x**M] 1/Q(x) in exact integers, by partial fractions over
     the poles 1/i of Q (see the module docstring). At k = 0 only 1/sigma is a
     pole, and the sum is sigma**n."""
+    if not k:
+        return sigma**n
     big_m = n - k * sigma
-    mult = [0] + [k] * (sigma - 1) + [1]  # mult[i] of the pole 1/i
-    poles = [i for i in range(1, sigma + 1) if mult[i]]
     deg = (sigma - 1) * k + 1
+    fact = list(accumulate(range(1, sigma), mul, initial=1))  # fact[j] = j!
     nums = []
     dens = []
-    for i in poles:
-        m_i = mult[i]
-        others = [l for l in poles if l != i]
-        d_i = prod(i - l for l in others)
+    for i in range(1, sigma + 1):
+        m_i = k if i < sigma else 1
+        # d_i = prod_{l != i} (i - l) = (-1)**(sigma - i) (i - 1)! (sigma - i)!
+        d_i = fact[i - 1] * fact[sigma - i] * (-1) ** (sigma - i)
         # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1): first the
         # product c over the k-fold poles l < sigma by running sums (none at
         # sigma = 2, where c = 1), then one division by the simple pole's
-        # (1 + s z); m_sigma = 1 leaves b = [1]
+        # (1 + s z); m_i = 1 leaves b = [1]
         b = [1] + [0] * (m_i - 1)
-        folds = [l * d_i // (i - l) for l in others if l < sigma]  # s_l, l k-fold
-        h = folds  # h_l(t - 1): s_l times [z**(t - 1)] c / (1 + s_l z)
-        for t in range(1, m_i if folds else 1):
-            c, rem = divmod(-k * sum(h), t)
-            if rem:
-                raise AssertionError("a pole's series left a nonzero remainder")
-            b[t] = c
-            h = [s_l * (c - h_l) for s_l, h_l in zip(folds, h)]
-        if i < sigma:
+        if m_i > 1:
+            folds = [l * d_i // (i - l) for l in range(1, sigma) if l != i]  # s_l, l k-fold
+            h = folds  # h_l(t - 1): s_l times [z**(t - 1)] c / (1 + s_l z)
+            for t in range(1, m_i if folds else 1):
+                c, rem = divmod(-k * sum(h), t)
+                if rem:
+                    raise AssertionError("a pole's series left a nonzero remainder")
+                b[t] = c
+                h = [s_l * (c - h_l) for s_l, h_l in zip(folds, h)]
             s = sigma * d_i // (i - sigma)
             for t in range(1, m_i):
                 b[t] -= s * b[t - 1]
@@ -326,7 +334,10 @@ def _count_by_poles(n: int, k: int, sigma: int) -> int:
             binom = binom * (big_m + j) // j
             power *= d_i
         nums.append(i ** (big_m + deg - m_i) * acc)
-        dens.append(prod((i - l) ** mult[l] for l in others) * d_i ** (m_i - 1))
+        # E_i = prod_{l != i} (i - l)**m_l: d_i**k at i = sigma, and below it
+        # the k-th power of d_i without its factor (i - sigma), times that factor
+        e_i = d_i**k if i == sigma else (d_i // (i - sigma)) ** k * (i - sigma)
+        dens.append(e_i * d_i ** (m_i - 1))
     common = lcm(*dens)
     coeff, rem = divmod(sum(num * (common // den) for num, den in zip(nums, dens)), common)
     if rem:

@@ -5,19 +5,27 @@ Scanning w left to right, every position i contributes the completions of
 w[1,i-1]x for each symbol x below w[i]: smaller symbols that repeat one already
 seen in the open arch keep the d symbols still owed and burn a free slot,
 smaller new symbols owe one less. Once the slack is fixed by the remaining
-length both contributions are single cells, rows[d][slack] and
-rows[d - 1][slack + 1], so the scan makes at most two reads per position.
+length both contributions are single cells times a multiplier, the number c
+of such symbols: c * rows[d][slack] and c * rows[d - 1][slack + 1], so the
+scan makes at most two reads per position. Each read is added to the sum
+S_c of its multiplier, one big-integer addition and no product. The rank is
+sum(c * S_c), taken once at the end as the sum of the suffix sums
+S_sigma, S_sigma + S_(sigma-1), ...: 2 sigma - 1 additions in C.
 Where a new symbol would close an arch, row d - 1 is not stored (it is sigma
-times the row below, see counting), so that one read is
-sigma * rows[d - 2][slack + 1]. Once k arches have closed the word is a
-member whatever follows, and the rest of it is a free suffix: its
-completions are counted in one base-sigma conversion, table.free_rank, which
-reads O((n - i) / 512) powers for 2 <= sigma <= 36 and O((n - i) / 32)
-otherwise.
+times the row below, see counting), so that read is
+sigma * rows[d - 2][slack + 1]. Its multiplier is always 1: the open arch
+holds sigma - 1 symbols, so exactly one symbol is new. Those reads go to the
+closing sum, S_sigma, whose multiplier is sigma. Once k arches have
+closed the word is a member whatever follows, and the rest of it is a free
+suffix: its completions are counted in one base-sigma conversion,
+table.free_rank, which reads O((n - i) / 512) powers for 2 <= sigma <= 36
+and O((n - i) / 32) otherwise.
 Words that are not members get the rank they would receive on insertion.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .counting import SuffixCountTable, _check_params
 from .words import Word, _Value
@@ -36,41 +44,49 @@ class RankResult(_Value):
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     """0-based rank of w among the k-universal words of its length.
 
-    Reads at most two cells per position, one of them sigma * rows[d - 2]
-    where row d - 1 is left out of the table; table.lookups counts each read
-    once."""
-    n = len(w.symbols)
+    Reads at most two cells per position and adds each, with one big-integer
+    addition, to the sum S_c of its multiplier c; a read below a left-out
+    row d - 1 goes to the closing sum, S_sigma. The rank is the free
+    suffix's rank plus sum(c * S_c), taken once as the sum of the suffix
+    sums of S. table.lookups counts each read once."""
+    syms = w.symbols
+    n = len(syms)
     sigma = w.sigma
     _check_params(n, k, sigma, table)
 
     rows = table.rows
-    syms = w.symbols
-    total = 0
+    sums = [0] * sigma  # sums[c - 1] is S_c, the cells read with multiplier c
     reads = 0
     d = sigma * k  # symbols still owed before k arches close
+    slack = n - d  # slack after a new symbol here; a repeated one leaves one less
     mask = 0  # the symbols of the open arch, as a bitset
-    for i in range(n):
-        if not d:
-            total += table.free_rank(syms, i)
-            break
-        s = syms[i]
-        if s > 1:
-            repeats = (mask & ((1 << s) - 1)).bit_count()
-            news = s - 1 - repeats
-            slack = n - i - 1 - d  # slack after a repeated symbol
-            if repeats and slack >= 0:
-                total += repeats * rows[d][slack]
-                reads += 1
-            if news and slack + 1 >= 0:
-                below = rows[d - 1]
-                if below is None:  # a new symbol closes the arch
-                    total += news * sigma * rows[d - 2][slack + 1]
-                else:
-                    total += news * below[slack + 1]
-                reads += 1
-        bit = 1 << s
-        if not mask & bit:
-            d -= 1
-            mask = 0 if d % sigma == 0 else mask | bit
+    if d:
+        for s in syms:
+            if s > 1:
+                repeats = (mask & ((1 << s) - 1)).bit_count()
+                news = s - 1 - repeats
+                if repeats and slack > 0:
+                    sums[repeats - 1] += rows[d][slack - 1]
+                    reads += 1
+                if news and slack >= 0:
+                    below = rows[d - 1]
+                    if below is None:  # a new symbol closes the arch: news is 1
+                        sums[sigma - 1] += rows[d - 2][slack]
+                    else:
+                        sums[news - 1] += below[slack]
+                    reads += 1
+            bit = 1 << s
+            if mask & bit:
+                slack -= 1
+            else:
+                d -= 1
+                if not d:
+                    break
+                mask = 0 if d % sigma == 0 else mask | bit
     table.lookups += reads
+    # once k arches have closed, the last `slack` symbols are a free suffix
+    total = table.free_rank(syms, n - slack) if not d and slack else 0
+    if reads:
+        # sum(c * S_c): S_c is in c of the suffix sums S_sigma + ... + S_j
+        total += sum(accumulate(reversed(sums)))
     return RankResult(total, not d)

@@ -54,6 +54,22 @@ def brute_rank(w: Word, k: int) -> int:
     return bisect_left([m.symbols for m in members], w.symbols)
 
 
+def _step(states: dict[tuple[int, int], int], k: int, sigma: int) -> dict[tuple[int, int], int]:
+    """Append every symbol to the words counted in states, keyed by (arches
+    closed, capped at k; open-arch bitmask of bits 1..sigma)."""
+    full = (2 << sigma) - 2
+    bits = [1 << s for s in range(1, sigma + 1)]
+    step: dict[tuple[int, int], int] = defaultdict(int)
+    for (closed, mask), ways in states.items():
+        if closed == k:
+            step[closed, mask] += ways * sigma
+            continue
+        for bit in bits:
+            grown = mask | bit
+            step[(closed + 1, 0) if grown == full else (closed, grown)] += ways
+    return step
+
+
 def brute_count(n: int, k: int, sigma: int) -> int:
     """|U(n, k, sigma)| by a walk over (arches closed, open-arch symbol set) states.
 
@@ -63,16 +79,36 @@ def brute_count(n: int, k: int, sigma: int) -> int:
     """
     if n < 0 or k < 0 or sigma < 1:
         raise ValueError(f"bad parameters n={n}, k={k}, sigma={sigma}")
-    full = (2 << sigma) - 2  # bits 1..sigma
-    states = {(0, 0): 1}  # (arches closed, capped at k; open-arch bitmask) -> words
+    states = {(0, 0): 1}
     for _ in range(n):
-        step: dict[tuple[int, int], int] = defaultdict(int)
-        for (closed, mask), ways in states.items():
-            if closed == k:
-                step[closed, mask] += ways * sigma
-                continue
-            for s in range(1, sigma + 1):
-                grown = mask | 1 << s
-                step[(closed + 1, 0) if grown == full else (closed, grown)] += ways
-        states = step
+        states = _step(states, k, sigma)
     return sum(ways for (closed, _), ways in states.items() if closed == k)
+
+
+def brute_state_rank(symbols: tuple[int, ...], k: int, sigma: int) -> int:
+    """Number of k-universal words of length len(symbols) below symbols, by the
+    state walk of brute_count.
+
+    smaller holds the states of the prefixes already below the word's prefix of
+    the same length. At each position they take every symbol, and the word's
+    own prefix adds one state for each symbol below its next one. No table,
+    arch or ranking code is used, so this checks rank at any n the walk
+    reaches.
+    """
+    full = (2 << sigma) - 2
+    smaller: dict[tuple[int, int], int] = {}
+    own = (0, 0)
+    for x in symbols:
+        smaller = _step(smaller, k, sigma)
+        closed, mask = own
+        for s in range(1, x + 1):
+            if closed == k:
+                state = own
+            else:
+                grown = mask | 1 << s
+                state = (closed + 1, 0) if grown == full else (closed, grown)
+            if s < x:
+                smaller[state] += 1
+            else:
+                own = state
+    return sum(ways for (closed, _), ways in smaller.items() if closed == k)

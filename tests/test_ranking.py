@@ -1,17 +1,21 @@
+import random
 from bisect import bisect_left
 from itertools import product
 
 import pytest
+from brute_force import brute_state_rank
 
 from universal_words import (
     AlphabetMismatch,
     InvalidK,
     LengthMismatch,
+    RankResult,
     build_table,
     count_universal,
     make_word,
     parse_word,
     rank,
+    unrank,
 )
 from universal_words.oracle import brute_enumerate
 
@@ -91,3 +95,106 @@ def test_rank_of_prefix_heavy_non_member():
     res = rank(parse_word("222222", 2), 3, t)
     assert res.rank == count_universal(6, 3, 2, t)
     assert not res.member
+
+
+def _rank_by_products(w, k, table):
+    """(rank, member, reads) with one product per read, added at once: the
+    reference for rank's per-multiplier sums. Asserts at every position where
+    row d - 1 is left out that at most one smaller symbol is new."""
+    syms = w.symbols
+    n = len(syms)
+    sigma = w.sigma
+    rows = table.rows
+    total = 0
+    reads = 0
+    d = sigma * k
+    mask = 0
+    for i in range(n):
+        if not d:
+            before = table.lookups
+            total += table.free_rank(syms, i)
+            reads += table.lookups - before
+            table.lookups = before
+            break
+        s = syms[i]
+        repeats = (mask & ((1 << s) - 1)).bit_count()
+        news = s - 1 - repeats
+        slack = n - i - 1 - d
+        if rows[d - 1] is None:
+            assert news <= 1, (syms, k, i)
+        if repeats and slack >= 0:
+            total += repeats * rows[d][slack]
+            reads += 1
+        if news and slack + 1 >= 0:
+            below = rows[d - 1]
+            if below is None:
+                total += news * sigma * rows[d - 2][slack + 1]
+            else:
+                total += news * below[slack + 1]
+            reads += 1
+        bit = 1 << s
+        if not mask & bit:
+            d -= 1
+            mask = 0 if d % sigma == 0 else mask | bit
+    return total, not d, reads
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma",
+    [
+        (2000, 20, 10), (1000, 450, 2), (120, 3, 12), (60, 2, 25), (900, 1, 37),
+        (40, 7, 1), (300, 0, 4), (30, 0, 1), (20, 3, 8), (0, 0, 3), (0, 2, 2),
+    ],
+)
+def test_per_multiplier_sums_match_a_product_per_read(n, k, sigma):
+    rng = random.Random(f"{n}-{k}-{sigma}")
+    table = build_table(n, k, sigma)
+    size = count_universal(n, k, sigma, table)
+    words = [make_word(rng.choices(range(1, sigma + 1), k=n), sigma) for _ in range(10)]
+    if size:
+        words += [unrank(rng.randrange(size), n, k, sigma, table) for _ in range(10)]
+    # and two words whose arches close late or never
+    words.append(make_word([sigma] * n, sigma))
+    words.append(make_word(sorted(rng.choices(range(1, sigma + 1), k=n)), sigma))
+    for w in words:
+        before = table.lookups
+        res = rank(w, k, table)
+        reads = table.lookups - before
+        assert (res.rank, res.member, reads) == _rank_by_products(w, k, table)
+
+
+def test_one_new_symbol_at_most_where_row_d_minus_1_is_left_out():
+    # _rank_by_products asserts it at every position of every word
+    for sigma in (2, 3, 4):
+        for n in range(sigma, 8):
+            for k in range(1, n // sigma + 1):
+                table = build_table(n, k, sigma)
+                for tup in product(range(1, sigma + 1), repeat=n):
+                    w = make_word(tup, sigma)
+                    assert rank(w, k, table).rank == _rank_by_products(w, k, table)[0]
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma", [(600, 100, 3), (1000, 50, 4), (2000, 1, 5), (400, 20, 6), (300, 60, 2)]
+)
+def test_rank_agrees_with_the_state_walk_at_large_n(n, k, sigma):
+    # the state walk shares no table or arch code with rank
+    rng = random.Random(f"{n}-{k}-{sigma}")
+    table = build_table(n, k, sigma)
+    r = rng.randrange(count_universal(n, k, sigma, table))
+    member = unrank(r, n, k, sigma, table)
+    other = make_word(rng.choices(range(1, sigma + 1), k=n), sigma)
+    assert rank(member, k, table) == RankResult(r, True)
+    assert brute_state_rank(member.symbols, k, sigma) == r
+    assert rank(other, k, table).rank == brute_state_rank(other.symbols, k, sigma)
+
+
+@pytest.mark.parametrize("n, k, sigma", [(600, 100, 3), (300, 60, 2)])
+def test_non_member_rank_agrees_with_the_state_walk_at_large_n(n, k, sigma):
+    # half of the word is one symbol, so too few arches close
+    rng = random.Random(f"{n}-{k}-{sigma}")
+    table = build_table(n, k, sigma)
+    w = make_word([sigma] * (n // 2) + rng.choices(range(1, sigma + 1), k=n - n // 2), sigma)
+    res = rank(w, k, table)
+    assert not res.member
+    assert res.rank == brute_state_rank(w.symbols, k, sigma)
