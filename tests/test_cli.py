@@ -12,6 +12,7 @@ from universal_words import cli
 from universal_words.cli import _decimal_text, main
 from universal_words.closed_forms import count_arches, count_index_zero, count_one_universal
 from universal_words.counting import count_universal
+from universal_words.ranking import RankResult
 from universal_words.unranking import enumerate_words
 from universal_words.words import format_word
 
@@ -111,6 +112,63 @@ def test_verify_passes(capsys):
     assert "count: ok" in lines
     assert "rank: ok" in lines
     assert "non-member ranks: ok" in lines
+
+
+def test_verify_reports_a_mismatch(capsys, monkeypatch):
+    # a fast path that disagrees with brute force fails the run with exit 2
+    real = cli.rank
+
+    def off_by_one(word, k, table):
+        return RankResult(real(word, k, table).rank + 1, True)
+
+    monkeypatch.setattr(cli, "rank", off_by_one)
+    argv = ("verify", "--n", "4", "--k", "2", "--sigma", "2")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "count: ok\nenumeration: ok\nrank: MISMATCH\nunrank: ok\n"
+        "non-member ranks: MISMATCH\nFAIL\n",
+        "",
+    )
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["result"] == {
+        "passed": False,
+        "checks": {
+            "count": True, "enumeration": True, "rank": False, "unrank": True,
+            "non-member ranks": False,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["count", "--n", "4", "--k", "2", "--sigma", "2"],
+         {"n": 4, "k": 2, "sigma": 2}),
+        (["rank", "--k", "2", "--sigma", "2", "2112"],
+         {"k": 2, "sigma": 2, "word": "2112"}),
+        (["unrank", "--n", "80", "--k", "2", "--sigma", "2", str(2**70)],
+         {"n": 80, "k": 2, "sigma": 2, "rank": str(2**70)}),
+        (["enum", "--limit", "1", "--from", "2", "--sigma", "2", "--k", "2", "--n", "4"],
+         {"n": 4, "k": 2, "sigma": 2, "from": "2", "limit": 1}),
+        (["enum", "--n", "4", "--k", "2", "--sigma", "2"],
+         {"n": 4, "k": 2, "sigma": 2, "from": "0", "limit": None}),
+        (["arch", "--sigma", "10", "1,2,3,4,5,6,7,8,9,10,1"],
+         {"sigma": 10, "word": "1,2,3,4,5,6,7,8,9,10,1"}),
+        (["verify", "--n", "4", "--k", "2", "--sigma", "2"],
+         {"n": 4, "k": 2, "sigma": 2}),
+        (["closed-forms", "--n", "3", "--sigma", "3"],
+         {"n": 3, "sigma": 3}),
+    ],
+)
+def test_json_params_golden(capsys, argv, params):
+    # the params object echoes the command's arguments, in this key order,
+    # with ranks as decimal strings whatever order they were given in
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out.splitlines()[0])
+    assert obj["command"] == argv[0]
+    assert json.dumps(obj["params"]) == json.dumps(params)
 
 
 def test_json_count(capsys):
@@ -234,6 +292,9 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "count", "--n", "-1", "--k", "2", "--sigma", "2")
     assert code == 1
+    code, out, err = run_cli(capsys, "count", "--n", "4", "--k", "2", "--sigma", "0")
+    assert (code, out) == (1, "")
+    assert err.endswith("argument --sigma: must be at least 1, got 0\n")
 
 
 def test_parse_error_exits_1(capsys):
@@ -338,12 +399,23 @@ def test_module_entry_point():
 
 
 def test_cli_imports_only_what_a_command_needs():
+    # every command but verify, which needs the oracle, runs in one process
     # -S keeps site, and any .pth file it reads, from importing modules first
     src = Path(cli.__file__).resolve().parents[1]
+    runs = {
+        ("count", "--n", "4", "--k", "2", "--sigma", "2"): "4",
+        ("rank", "--k", "2", "--sigma", "2", "2112"): "2\nmember: true",
+        ("unrank", "--n", "4", "--k", "2", "--sigma", "2", "3"): "2121",
+        ("enum", "--n", "4", "--k", "2", "--sigma", "2", "--from", "1", "--limit", "2"):
+            "1221\n2112",
+        ("arch", "--sigma", "4", "11234432122314332144"): "11234,4321,22314,33214,4\nindex: 4",
+        ("closed-forms", "--n", "3", "--sigma", "3"):
+            "index-zero: 21\none-universal: 6\narches: 6",
+    }
     script = (
         "import sys; from universal_words.cli import main; "
-        "main(['count', '--n', '4', '--k', '2', '--sigma', '2']); "
-        "print(*sorted(sys.modules))"
+        f"codes = [main(list(argv)) for argv in {list(runs)!r}]; "
+        "print(codes); print(*sorted(sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -351,9 +423,10 @@ def test_cli_imports_only_what_a_command_needs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    count, modules = proc.stdout.splitlines()
+    *outputs, codes, modules = proc.stdout.splitlines()
     loaded = set(modules.split())
-    assert count == "4" and "universal_words.cli" in loaded
+    assert outputs == "\n".join(runs.values()).splitlines()
+    assert codes == str([0] * len(runs)) and "universal_words.cli" in loaded
     unwanted = {
         "dataclasses", "decimal", "fractions", "inspect", "json", "typing",
         "universal_words.oracle",
