@@ -54,18 +54,11 @@ def _emit(args, text_lines, payload) -> None:
 
 
 def _params(args) -> dict:
+    """The command's arguments in their declared order, ranks as decimal text."""
     out = {}
-    for key in ("n", "k", "sigma"):
-        if hasattr(args, key):
-            out[key] = getattr(args, key)
-    if hasattr(args, "word"):
-        out["word"] = args.word
-    if hasattr(args, "rank"):
-        out["rank"] = str(args.rank)
-    if hasattr(args, "from_rank"):
-        out["from"] = str(args.from_rank)
-    if hasattr(args, "limit"):
-        out["limit"] = args.limit
+    for name in _COMMANDS[args.command][2]:
+        value = getattr(args, _ARGUMENTS[name][1].get("dest", name))
+        out[name] = str(value) if name in ("rank", "from") else value
     return out
 
 
@@ -247,52 +240,43 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 2
 
 
+# Each argument a command can take: its flag and its add_argument keywords,
+# in the order --help lists them. Every command takes --json.
+_ARGUMENTS = {
+    "n": ("--n", {"type": _nonneg, "required": True, "help": "word length"}),
+    "k": ("--k", {"type": _nonneg, "required": True, "help": "universality target"}),
+    "sigma": ("--sigma", {"type": _positive, "required": True, "help": "alphabet size"}),
+    "word": ("word", {"help": "word text (digits, or comma-separated for sigma > 9)"}),
+    "rank": ("rank", {"type": _nonneg, "help": "0-based rank, decimal"}),
+    "json": ("--json", {"action": "store_true", "help": "emit JSON"}),
+    "from": ("--from", {"dest": "from_rank", "type": _nonneg, "default": 0,
+                        "help": "first rank to emit (default 0)"}),
+    "limit": ("--limit", {"type": _nonneg, "default": None,
+                          "help": "stop after this many words"}),
+}
+
+# name: (handler, help, the arguments it takes in their --json params order)
+_COMMANDS = {
+    "count": (_cmd_count, "size of the k-universal set", ("n", "k", "sigma")),
+    "rank": (_cmd_rank, "rank of a word (length inferred)", ("k", "sigma", "word")),
+    "unrank": (_cmd_unrank, "word with a given rank", ("n", "k", "sigma", "rank")),
+    "enum": (_cmd_enum, "stream the set in lexicographic order",
+             ("n", "k", "sigma", "from", "limit")),
+    "arch": (_cmd_arch, "arch factorization and universality index", ("sigma", "word")),
+    "verify": (_cmd_verify, "cross-check the fast paths against brute force",
+               ("n", "k", "sigma")),
+    "closed-forms": (_cmd_closed_forms, "closed-form counts for one length", ("n", "sigma")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uwords", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p, *, n=False, k=False, word=False, rank_arg=False):
-        if n:
-            p.add_argument("--n", type=_nonneg, required=True, help="word length")
-        if k:
-            p.add_argument("--k", type=_nonneg, required=True, help="universality target")
-        p.add_argument("--sigma", type=_positive, required=True, help="alphabet size")
-        if word:
-            p.add_argument("word", help="word text (digits, or comma-separated for sigma > 9)")
-        if rank_arg:
-            p.add_argument("rank", type=_nonneg, help="0-based rank, decimal")
-        p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p = sub.add_parser("count", help="size of the k-universal set")
-    common(p, n=True, k=True)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("rank", help="rank of a word (length inferred)")
-    common(p, k=True, word=True)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("unrank", help="word with a given rank")
-    common(p, n=True, k=True, rank_arg=True)
-    p.set_defaults(func=_cmd_unrank)
-
-    p = sub.add_parser("enum", help="stream the set in lexicographic order")
-    common(p, n=True, k=True)
-    p.add_argument("--from", dest="from_rank", type=_nonneg, default=0,
-                   help="first rank to emit (default 0)")
-    p.add_argument("--limit", type=_nonneg, default=None, help="stop after this many words")
-    p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("arch", help="arch factorization and universality index")
-    common(p, word=True)
-    p.set_defaults(func=_cmd_arch)
-
-    p = sub.add_parser("verify", help="cross-check the fast paths against brute force")
-    common(p, n=True, k=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("closed-forms", help="closed-form counts for one length")
-    common(p, n=True)
-    p.set_defaults(func=_cmd_closed_forms)
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (flag, spec) in _ARGUMENTS.items():
+            if name in names or name == "json":
+                p.add_argument(flag, **spec)
     return parser
 
 
@@ -311,7 +295,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ParseError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
         return 1

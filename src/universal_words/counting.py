@@ -88,13 +88,12 @@ AssertionError on a remainder; nothing is rounded.
 A count without a table takes the cheaper of the two by an estimate in chain
 cells, fitted to timings of both (2-vCPU VM, Python 3.11). Each pole costs
 about 2k(sigma - 1) + 24 cells: its series, its binomial loop, its power of
-about M*log2(i) bits and, in the fit, O(sigma) products for its constants.
-The chain up to row k*sigma - 1 costs its (M + 1)(k(sigma - 1) + 1) built
-cells and about 2 more per row. So the chain runs only while M is small:
-M < 19 at (k, sigma) = (20, 10), M < 39 at (1, 10) and M < 89 at (2, 40),
-where the measured crossovers were 19, 41 and 87. The constants now take
-O(1) products, so at small k the estimate overstates a pole: the measured
-crossovers moved to about 10 at (1, 10) and 55 at (2, 40).
+about M*log2(i) bits and its constants. The chain up to row k*sigma - 1
+costs its (M + 1)(k(sigma - 1) + 1) built cells and about 2 more per row.
+So the chain runs only while M is small: M < 19 at (k, sigma) = (20, 10),
+M < 39 at (1, 10) and M < 89 at (2, 40). The measured crossovers are about
+M = 19, 10 and 55 there: at small k the estimate overstates a pole, which
+costs time near the switch but never changes a count.
 """
 
 from __future__ import annotations

@@ -78,7 +78,11 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     position until the k-th arch closes, and one where the open arch is
     empty; the free suffix after it is one base-sigma conversion that reads
     O((n - j) / 32) powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
+    A rank that is not an int, a bool or a float such as 3.0 included,
+    raises RankOutOfRange before any table is built.
     """
+    if type(r) is not int:
+        raise RankOutOfRange(r, count_universal(n, k, sigma, table))
     if table is None:
         table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)
@@ -146,11 +150,13 @@ def enumerate_words(
     """Stream the k-universal words of length n in strictly increasing order.
 
     The arguments are checked when this is called, not when the first word is
-    taken: a negative limit, a start rank outside 0..count, or a table built
-    for other parameters raise here.
+    taken: a limit that is not an int >= 0, a start rank that is not an int
+    in 0..count, or a table built for other parameters raise here.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise ValueError(f"limit must be a nonnegative int, got {limit!r}")
+    if type(from_rank) is not int:
+        raise RankOutOfRange(from_rank, count_universal(n, k, sigma, table))
     if table is None:
         table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)

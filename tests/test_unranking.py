@@ -20,7 +20,7 @@ from universal_words import (
     rank,
     unrank,
 )
-from universal_words import counting
+from universal_words import counting, unranking
 from universal_words.oracle import brute_enumerate
 from universal_words.unranking import _descend
 
@@ -39,6 +39,38 @@ def test_unrank_rejects_out_of_range():
     assert info.value.set_size == 4
     with pytest.raises(RankOutOfRange):
         unrank(-1, 4, 2, 2)
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built for a rank that is not an int")
+
+
+@pytest.mark.parametrize(
+    "r, n, k, sigma",
+    [
+        (2**60 + 0.0, 80, 2, 3),  # r + 1 == r
+        (1.5, 12, 2, 4),
+        (5.0, 10, 1, 2),
+        (3.0, 4, 2, 2),
+        (True, 4, 2, 2),
+    ],
+)
+def test_unrank_refuses_a_non_int_rank(monkeypatch, r, n, k, sigma):
+    monkeypatch.setattr(unranking, "build_table", _no_table)
+    with pytest.raises(RankOutOfRange) as info:
+        unrank(r, n, k, sigma)
+    assert info.value.rank is r
+    assert info.value.set_size == count_universal(n, k, sigma)
+
+
+def test_enumeration_refuses_a_non_int_start_or_limit(monkeypatch):
+    monkeypatch.setattr(unranking, "build_table", _no_table)
+    for start in (1.0, True):
+        with pytest.raises(RankOutOfRange):
+            enumerate_words(8, 2, 2, from_rank=start)
+    for limit in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="limit must be a nonnegative int"):
+            enumerate_words(8, 2, 2, limit=limit)
 
 
 def test_unrank_rejects_empty_set():
