@@ -39,25 +39,20 @@ def arch_factorize(w: Word) -> ArchFactorization:
     sigma = w.sigma
     n = len(w.symbols)
     starts: list[int] = []
-    mask = 0
-    distinct = 0
-    start = n + 1
+    seen: set[int] = set()  # the symbols of the open arch
+    start = n + 1  # where the open arch starts; n + 1 while it is empty
     for i, s in enumerate(w.symbols, 1):
-        if distinct == 0:
+        if not seen:
             start = i
-        bit = 1 << s
-        if not mask & bit:
-            mask |= bit
-            distinct += 1
-        if distinct == sigma:
+        seen.add(s)
+        if len(seen) == sigma:
             starts.append(start)
-            mask = 0
-            distinct = 0
+            seen.clear()
             start = n + 1
     return ArchFactorization(
         arch_starts=tuple(starts),
         arch_count=len(starts),
-        suffix_start=start if distinct else n + 1,
+        suffix_start=start,
     )
 
 

@@ -39,7 +39,8 @@ read that reaches it, the count of a new symbol that closes an arch, reads
 sigma times the row below (no read repeats a symbol of an empty arch). Its
 place holds None, so row indices stay d and a stray read fails loudly. The
 table stores k*(sigma - 1) + 1 rows of n - k*sigma + 1 cells, half the
-rectangle at sigma = 2, and none when n < k*sigma. sigma = 1 has no row with
+rectangle at sigma = 2. When n < k*sigma the set is empty, no query reads a
+cell, and the table stores no row at all. sigma = 1 has no row with
 q >= 1 to fold into and keeps its k + 1 rows of ones. The set of k-universal
 words of length n has size rows[k*sigma][n - k*sigma], that is
 sigma * rows[k*sigma - 1][n - k*sigma] for k >= 1, or 0 when n < k*sigma.
@@ -98,7 +99,7 @@ costs time near the switch but never changes a count.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from itertools import accumulate, islice
 from math import factorial, lcm
 from operator import mul
@@ -131,10 +132,11 @@ class SuffixCountTable:
     stored twice. Values are exact arbitrary-precision integers. ``lookups``
     counts cell reads, a read of sigma times a cell of the row below a
     left-out row included: the one of count_universal(), the power-row reads
-    of free_suffix() and free_rank(), and the reads that rank, unrank and
-    enumeration make in place and add once per call. ``build_ops`` is the
-    number of cells built. Both are advisory instrumentation, not value
-    state.
+    through power(), which rank and unrank pass to free_suffix() and
+    free_rank(), and the reads that rank, unrank and enumeration make in
+    place and add once per call. rows is empty when n < k*sigma, where the
+    set is empty and no query reads a cell. ``build_ops`` is the number of
+    cells built. Both are advisory instrumentation, not value state.
     """
 
     __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
@@ -147,71 +149,76 @@ class SuffixCountTable:
         self.build_ops = sum(len(row) for row in rows if row is not None)
         self.lookups = 0
 
-    def free_suffix(self, x: int, length: int) -> list[int]:
-        """The free suffix of rank x among all sigma**length words: symbol j is
-        base-sigma digit j of x (most significant first) plus one.
-
-        For sigma in {2, 8, 10, 16} each leaf of the split, up to _C_LEAF = 512
-        symbols, is written in C by format(), as the join reads its leaves by
-        int() for 2 <= sigma <= 36; other alphabets split down to _LEAF = 32
-        symbols and convert those one symbol at a time.
-        Raises AssertionError when x >= sigma**length."""
-        out = [0] * length
-        self._split(x, out, 0, length, _C_LEAF if self.sigma in _FORMAT_CODE else _LEAF)
-        return out
-
-    def free_rank(self, syms: Sequence[int], start: int) -> int:
-        """Rank of the free suffix syms[start:] among all words of its length:
-        the base-sigma number whose digits are its symbols minus one."""
-        leaf = _C_LEAF if 2 <= self.sigma <= 36 else _LEAF
-        return self._join(syms, start, len(syms), leaf)
-
-    # Divide-and-conquer radix conversion (Knuth, TAOCP Vol. 2, 4.4): halves
-    # are split and joined by sigma**h from the power row, so the big-integer
-    # work is a few wide divisions or products rather than one full-width
-    # step per symbol. These are methods, not nested closures: a closure that
-    # calls itself is a reference cycle, which keeps the digit list of every
-    # call alive until the cyclic garbage collector runs.
-
-    def _split(self, x: int, out: list[int], lo: int, hi: int, leaf: int) -> None:
-        width = hi - lo
-        if width <= leaf:
-            code = _FORMAT_CODE.get(self.sigma)
-            if code and width:
-                digits = format(x, f"0{width}{code}").encode().translate(_FROM_BASE16)
-                if len(digits) != width:
-                    raise AssertionError("free suffix rank exceeds sigma**length")
-                out[lo:hi] = digits
-                return
-            sigma = self.sigma
-            for j in range(hi - 1, lo - 1, -1):
-                x, d = divmod(x, sigma)
-                out[j] = d + 1
-            if x:
-                raise AssertionError("free suffix rank exceeds sigma**length")
-            return
-        mid = (lo + hi) // 2
+    def power(self, h: int) -> int:
+        """sigma**h from the power row rows[0], counted as one lookup."""
         self.lookups += 1
-        high, low = divmod(x, self.rows[0][hi - mid])
-        self._split(high, out, lo, mid, leaf)
-        self._split(low, out, mid, hi, leaf)
-
-    def _join(self, syms: Sequence[int], lo: int, hi: int, leaf: int) -> int:
-        if hi - lo <= leaf:
-            sigma = self.sigma
-            if 2 <= sigma <= 36 and lo < hi:
-                return int(bytes(syms[lo:hi]).translate(_BASE36), sigma)
-            x = 0
-            for j in range(lo, hi):
-                x = x * sigma + syms[j] - 1
-            return x
-        mid = (lo + hi) // 2
-        self.lookups += 1
-        high = self._join(syms, lo, mid, leaf)
-        return high * self.rows[0][hi - mid] + self._join(syms, mid, hi, leaf)
+        return self.rows[0][h]
 
     def __repr__(self) -> str:
         return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"
+
+
+def free_suffix(x: int, length: int, sigma: int, power: Callable[[int], int]) -> list[int]:
+    """The free suffix of rank x among all sigma**length words: symbol j is
+    base-sigma digit j of x (most significant first) plus one. power(h)
+    returns sigma**h.
+
+    For sigma in {2, 8, 10, 16} each leaf of the split, up to _C_LEAF = 512
+    symbols, is written in C by format(), as the join reads its leaves by
+    int() for 2 <= sigma <= 36; other alphabets split down to _LEAF = 32
+    symbols and convert those one symbol at a time.
+    Raises AssertionError when x >= sigma**length."""
+    out = [0] * length
+    _split(x, out, 0, length, sigma, power)
+    return out
+
+
+def free_rank(syms: Sequence[int], start: int, sigma: int, power: Callable[[int], int]) -> int:
+    """Rank of the free suffix syms[start:] among all words of its length:
+    the base-sigma number whose digits are its symbols minus one. power(h)
+    returns sigma**h."""
+    return _join(syms, start, len(syms), sigma, power)
+
+
+# Divide-and-conquer radix conversion (Knuth, TAOCP Vol. 2, 4.4): halves are
+# split and joined by sigma**h, so the big-integer work is a few wide
+# divisions or products rather than one full-width step per symbol.
+def _split(
+    x: int, out: list[int], lo: int, hi: int, sigma: int, power: Callable[[int], int]
+) -> None:
+    width = hi - lo
+    code = _FORMAT_CODE.get(sigma)
+    if width <= (_C_LEAF if code else _LEAF):
+        if code and width:
+            digits = format(x, f"0{width}{code}").encode().translate(_FROM_BASE16)
+            if len(digits) != width:
+                raise AssertionError("free suffix rank exceeds sigma**length")
+            out[lo:hi] = digits
+            return
+        for j in range(hi - 1, lo - 1, -1):
+            x, d = divmod(x, sigma)
+            out[j] = d + 1
+        if x:
+            raise AssertionError("free suffix rank exceeds sigma**length")
+        return
+    mid = (lo + hi) // 2
+    high, low = divmod(x, power(hi - mid))
+    _split(high, out, lo, mid, sigma, power)
+    _split(low, out, mid, hi, sigma, power)
+
+
+def _join(syms: Sequence[int], lo: int, hi: int, sigma: int, power: Callable[[int], int]) -> int:
+    by_int = 2 <= sigma <= 36
+    if hi - lo <= (_C_LEAF if by_int else _LEAF):
+        if by_int and lo < hi:
+            return int(bytes(syms[lo:hi]).translate(_BASE36), sigma)
+        x = 0
+        for j in range(lo, hi):
+            x = x * sigma + syms[j] - 1
+        return x
+    mid = (lo + hi) // 2
+    high = _join(syms, lo, mid, sigma, power)
+    return high * power(hi - mid) + _join(syms, mid, hi, sigma, power)
 
 
 def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> None:
@@ -287,10 +294,10 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     """Keep every row of the chain that is built: for sigma >= 2,
     (k*(sigma - 1) + 1) * (n - k*sigma + 1) cells, the k rows d = c*sigma
-    being None; for sigma = 1, (k + 1) * (n - k + 1) cells. None when
-    n < k*sigma."""
+    being None; for sigma = 1, (k + 1) * (n - k + 1) cells. No row at all
+    when n < k*sigma, where the set is empty and no query reads one."""
     _check_params(n, k, sigma)
-    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)))
+    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)) if n >= k * sigma else [])
 
 
 def _count_by_poles(n: int, k: int, sigma: int) -> int:

@@ -18,8 +18,9 @@ holds sigma - 1 symbols, so exactly one symbol is new. Those reads go to the
 closing sum, S_sigma, whose multiplier is sigma. Once k arches have
 closed the word is a member whatever follows, and the rest of it is a free
 suffix: its completions are counted in one base-sigma conversion,
-table.free_rank, which reads O((n - i) / 512) powers for 2 <= sigma <= 36
-and O((n - i) / 32) otherwise.
+counting.free_rank, which reads O((n - i) / 512) powers for 2 <= sigma <= 36
+and O((n - i) / 32) otherwise, each through table.power. A word shorter than
+k*sigma reads no cell, and its walk is skipped.
 Words that are not members get the rank they would receive on insertion.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .counting import SuffixCountTable, _check_params
+from .counting import SuffixCountTable, _check_params, free_rank
 from .words import Word, _Value
 
 
@@ -55,12 +56,13 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     _check_params(n, k, sigma, table)
 
     rows = table.rows
-    sums = [0] * sigma  # sums[c - 1] is S_c, the cells read with multiplier c
-    reads = 0
+    total = reads = 0
     d = sigma * k  # symbols still owed before k arches close
     slack = n - d  # slack after a new symbol here; a repeated one leaves one less
     mask = 0  # the symbols of the open arch, as a bitset
-    if d:
+    if d and slack >= 0:  # else no cell can be read: the slack never grows
+        # sums[c - 1] is S_c, the cells read with multiplier c; sigma <= d <= n
+        sums = [0] * sigma
         for s in syms:
             if s > 1:
                 repeats = (mask & ((1 << s) - 1)).bit_count()
@@ -83,10 +85,10 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
                 if not d:
                     break
                 mask = 0 if d % sigma == 0 else mask | bit
+        # sum(c * S_c): S_c is in c of the suffix sums S_sigma + ... + S_j
+        total = sum(accumulate(reversed(sums)))
     table.lookups += reads
     # once k arches have closed, the last `slack` symbols are a free suffix
-    total = table.free_rank(syms, n - slack) if not d and slack else 0
-    if reads:
-        # sum(c * S_c): S_c is in c of the suffix sums S_sigma + ... + S_j
-        total += sum(accumulate(reversed(sums)))
+    if not d and slack:
+        total += free_rank(syms, n - slack, sigma, table.power)
     return RankResult(total, not d)

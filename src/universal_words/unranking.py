@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .counting import SuffixCountTable, build_table, count_universal
+from .counting import SuffixCountTable, build_table, count_universal, free_suffix
 from .errors import EmptySet, RankOutOfRange
 from .words import Word
 
@@ -26,7 +26,8 @@ def _descend(
     an arch its row is left out of the table, and the one read is
     sigma * rows[d - 2][slack + 1]. Once k arches have closed
     every suffix completes the word, so the rest is the base-sigma digits of
-    what is left of rem, filled in one conversion (table.free_suffix).
+    what is left of rem, filled in one conversion (counting.free_suffix, its
+    powers read through table.power).
     Returns where that free suffix starts, len(states) - 1. unrank()
     descends from the empty prefix; an enumeration carry descends at rem = 0.
     """
@@ -67,7 +68,7 @@ def _descend(
         j += 1
         states.append((d, mask))
     table.lookups += reads
-    syms[j:] = table.free_suffix(rem, n - j)
+    syms[j:] = free_suffix(rem, n - j, sigma, table.power)
     return j
 
 
@@ -78,17 +79,17 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     position until the k-th arch closes, and one where the open arch is
     empty; the free suffix after it is one base-sigma conversion that reads
     O((n - j) / 32) powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
-    A rank that is not an int, a bool or a float such as 3.0 included,
-    raises RankOutOfRange before any table is built.
+    A rank that is not an int, a bool or a float such as 3.0 included, or a
+    negative one raises RankOutOfRange before any table is built.
     """
-    if type(r) is not int:
+    if type(r) is not int or r < 0:
         raise RankOutOfRange(r, count_universal(n, k, sigma, table))
     if table is None:
         table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)
     if total == 0:
         raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
-    if not 0 <= r < total:
+    if r >= total:
         raise RankOutOfRange(r, total)
     return next(_stream(table, r, r + 1))
 
@@ -151,16 +152,17 @@ def enumerate_words(
 
     The arguments are checked when this is called, not when the first word is
     taken: a limit that is not an int >= 0, a start rank that is not an int
-    in 0..count, or a table built for other parameters raise here.
+    in 0..count, or a table built for other parameters raise here. A limit
+    or start rank that is not an int >= 0 raises before any table is built.
     """
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError(f"limit must be a nonnegative int, got {limit!r}")
-    if type(from_rank) is not int:
+    if type(from_rank) is not int or from_rank < 0:
         raise RankOutOfRange(from_rank, count_universal(n, k, sigma, table))
     if table is None:
         table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)
-    if not 0 <= from_rank <= total:
+    if from_rank > total:
         raise RankOutOfRange(from_rank, total)
     stop = total if limit is None else min(total, from_rank + limit)
     return _stream(table, from_rank, stop)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -107,3 +108,19 @@ def test_index_is_maximal(w):
     idx = arch_factorize(w).arch_count
     assert is_k_universal(w, idx)
     assert not is_k_universal(w, idx + 1)
+
+
+def test_open_arch_costs_no_memory_per_alphabet_symbol():
+    # a bitmask of the open arch would need a (10**8)-bit int per symbol
+    sigma = 10**8
+    syms = [sigma - i for i in range(20)] + [sigma]
+    w = make_word(syms, sigma)
+    tracemalloc.start()
+    try:
+        f = arch_factorize(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert (f.arch_count, f.suffix_start) == (0, 1)
+    assert not is_k_universal(w, 1)

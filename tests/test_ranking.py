@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from bisect import bisect_left
 from itertools import product
 
@@ -17,6 +18,7 @@ from universal_words import (
     rank,
     unrank,
 )
+from universal_words import counting
 from universal_words.oracle import brute_enumerate
 
 
@@ -112,7 +114,7 @@ def _rank_by_products(w, k, table):
     for i in range(n):
         if not d:
             before = table.lookups
-            total += table.free_rank(syms, i)
+            total += counting.free_rank(syms, i, sigma, table.power)
             reads += table.lookups - before
             table.lookups = before
             break
@@ -120,7 +122,7 @@ def _rank_by_products(w, k, table):
         repeats = (mask & ((1 << s) - 1)).bit_count()
         news = s - 1 - repeats
         slack = n - i - 1 - d
-        if rows[d - 1] is None:
+        if rows and rows[d - 1] is None:  # an empty set's table has no rows
             assert news <= 1, (syms, k, i)
         if repeats and slack >= 0:
             total += repeats * rows[d][slack]
@@ -198,3 +200,19 @@ def test_non_member_rank_agrees_with_the_state_walk_at_large_n(n, k, sigma):
     res = rank(w, k, table)
     assert not res.member
     assert res.rank == brute_state_rank(w.symbols, k, sigma)
+
+
+def test_rank_allocates_nothing_per_symbol_where_it_reads_no_cell():
+    # k = 0 reads only powers, and a word shorter than k*sigma no cell at all:
+    # neither may allocate sigma sums (80 MB of list slots at sigma = 10**7)
+    sigma = 10**7
+    for syms, k, want in [((5,), 0, RankResult(4, True)), ((1, 2), 1, RankResult(0, False))]:
+        t = build_table(len(syms), k, sigma)
+        w = make_word(syms, sigma)
+        tracemalloc.start()
+        try:
+            assert rank(w, k, t) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (syms, k, peak)

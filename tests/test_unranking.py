@@ -53,6 +53,8 @@ def _no_table(*args):
         (5.0, 10, 1, 2),
         (3.0, 4, 2, 2),
         (True, 4, 2, 2),
+        (-1, 2000, 20, 10),  # negative ranks are refused before a build too,
+        (-1, 3, 2, 2),  # also where the set is empty
     ],
 )
 def test_unrank_refuses_a_non_int_rank(monkeypatch, r, n, k, sigma):
@@ -65,7 +67,7 @@ def test_unrank_refuses_a_non_int_rank(monkeypatch, r, n, k, sigma):
 
 def test_enumeration_refuses_a_non_int_start_or_limit(monkeypatch):
     monkeypatch.setattr(unranking, "build_table", _no_table)
-    for start in (1.0, True):
+    for start in (1.0, True, -1):
         with pytest.raises(RankOutOfRange):
             enumerate_words(8, 2, 2, from_rank=start)
     for limit in (1.5, 2.0, True):
