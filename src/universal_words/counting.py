@@ -133,10 +133,11 @@ class SuffixCountTable:
     counts cell reads, a read of sigma times a cell of the row below a
     left-out row included: the one of count_universal(), the power-row reads
     through power(), which rank and unrank pass to free_suffix() and
-    free_rank(), and the reads that rank, unrank and enumeration make in
-    place and add once per call. rows is empty when n < k*sigma, where the
-    set is empty and no query reads a cell. ``build_ops`` is the number of
-    cells built. Both are advisory instrumentation, not value state.
+    free_rank(), and the reads that rank and unrank make in place and add
+    once per call. An enumeration reads only for its first word, which it
+    unranks. rows is empty when n < k*sigma, where the set is empty and no
+    query reads a cell. ``build_ops`` is the number of cells built. Both are
+    advisory instrumentation, not value state.
     """
 
     __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")

@@ -9,34 +9,34 @@ from .errors import EmptySet, RankOutOfRange
 from .words import Word
 
 
-def _descend(
-    table: SuffixCountTable, syms: list[int], states: list[tuple[int, int]], rem: int
-) -> int:
-    """Write into syms[j:] the completion of rank rem of the prefix syms[:j].
+def _descend(table: SuffixCountTable, syms: list[int], rem: int) -> list[tuple[int, int]]:
+    """Write into syms the k-universal word of rank rem, and return its arch
+    states up to the free suffix.
 
     states[i] is the arch state after syms[:i], (symbols still owed,
-    open-arch bitset), for i = 0..j, so j = len(states) - 1. At each position
-    the completion counts of the candidate symbols are accumulated until they
-    exceed rem, and the first symbol to do so is chosen; the state after it
-    is appended to states. A candidate either repeats the open arch or is
-    new, and each kind has one count: a new symbol's is one read, and a
-    repeat's a second read only where the open arch is non-empty and a repeat
-    can still complete. Every state visited can still complete (n - j >= d),
-    so the count of a new symbol is always a cell; where that symbol closes
-    an arch its row is left out of the table, and the one read is
-    sigma * rows[d - 2][slack + 1]. Once k arches have closed
-    every suffix completes the word, so the rest is the base-sigma digits of
-    what is left of rem, filled in one conversion (counting.free_suffix, its
-    powers read through table.power).
-    Returns where that free suffix starts, len(states) - 1. unrank()
-    descends from the empty prefix; an enumeration carry descends at rem = 0.
+    open-arch bitset), for i = 0..j, where the free suffix starts at j and
+    states[j] is (0, 0). At each position the completion counts of the
+    candidate symbols are accumulated until they exceed rem, and the first
+    symbol to do so is chosen; the state after it is appended to states. A
+    candidate either repeats the open arch or is new, and each kind has one
+    count: a new symbol's is one read, and a repeat's a second read only
+    where the open arch is non-empty and a repeat can still complete. Every
+    state visited can still complete (n - j >= d), so the count of a new
+    symbol is always a cell; where that symbol closes an arch its row is left
+    out of the table, and the one read is sigma * rows[d - 2][slack + 1].
+    Once k arches have closed every suffix completes the word, so the rest is
+    the base-sigma digits of what is left of rem, filled in one conversion
+    (counting.free_suffix, its powers read through table.power). Only the
+    first word of a cursor, and so unrank(), descends; the successors that
+    follow read no cell.
     """
     n, sigma = table.n, table.sigma
     rows = table.rows
     candidates = range(1, sigma + 1)
     reads = 0
-    j = len(states) - 1
-    d, mask = states[j]
+    j = 0
+    d, mask = table.k * sigma, 0
+    states = [(d, mask)]
     while d:
         slack = n - j - 1 - d  # slack after a repeated symbol
         below = rows[d - 1]
@@ -69,7 +69,7 @@ def _descend(
         states.append((d, mask))
     table.lookups += reads
     syms[j:] = free_suffix(rem, n - j, sigma, table.power)
-    return j
+    return states
 
 
 def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
@@ -97,46 +97,50 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
 def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     """The k-universal words of ranks r..stop-1, smallest first.
 
-    The first word is unranked by _descend, which leaves in states the arch
-    state after each position before the free suffix, and nothing more;
-    unrank() takes only this word. Inside the free suffix a successor adds
-    one in base sigma and reads no table cell. A carry past it bumps the
-    rightmost arch position p that can take a larger symbol, reading no cell:
-    a prefix owing d symbols at p completes iff n - p >= d, so with
-    n - p == d only a new symbol fits. states is cut back to end with the
-    state after p, and the next word is the smallest completion, a descent
-    at rank 0.
+    The first word is unranked by _descend, which returns the arch state
+    after each position up to the free suffix; unrank() takes only this word.
+    The states are then padded with (0, 0), the state at every free
+    position, and each successor is found from them alone, reading no table
+    cell. A prefix owing d symbols at position p completes iff n - p >= d, so
+    the rightmost position p that can take a larger symbol is bumped to the
+    next symbol while n - p > d, and to the next symbol new to the open arch
+    when n - p == d. Every later position then takes the smallest symbol
+    that fits: 1 while a free slot remains, else the smallest new symbol, and
+    all 1s once k arches have closed. The scan for p sets each position it
+    passes to 1, so only where p lies in the arches is anything refilled.
     """
     if r >= stop:
         return
     n, sigma = table.n, table.sigma
     syms = [0] * n
-    states = [(table.k * sigma, 0)]
-    free = _descend(table, syms, states, r)  # start of the free suffix
+    states = _descend(table, syms, r)
     yield Word._trusted(tuple(syms), sigma)
+    states += [(0, 0)] * (n + 1 - len(states))
     for _ in range(r + 1, stop):
-        for p in range(n - 1, free - 1, -1):
-            if syms[p] < sigma:
-                syms[p] += 1
-                break
-            syms[p] = 1
-        else:
-            for p in range(free - 1, -1, -1):
-                d, mask = states[p]
+        for p in range(n - 1, -1, -1):
+            if syms[p] < sigma:  # tested first: a run of sigmas reads no state
                 x = syms[p] + 1
-                if n - p == d:  # no free slot: skip the symbols that repeat
-                    while mask >> x & 1:
-                        x += 1
+                d, mask = states[p]
+                while n - p == d and mask >> x & 1:  # no free slot: skip the repeats
+                    x += 1
                 if x <= sigma:
                     break
-            else:
-                raise AssertionError("no successor although the rank is below the set size")
-            syms[p] = x
-            if not mask >> x & 1:
-                d -= 1
-                mask = 0 if d % sigma == 0 else mask | 1 << x
-            states[p + 1:] = [(d, mask)]
-            free = _descend(table, syms, states, 0)
+            syms[p] = 1
+        else:
+            raise AssertionError("no successor although the rank is below the set size")
+        syms[p] = x
+        if d:  # p lies in the arches: refill them up to where the k-th closes
+            j = p + 1
+            while d:  # the state after syms[j - 1], then the smallest symbol that fits at j
+                if not mask >> x & 1:
+                    d -= 1
+                    mask = 0 if d % sigma == 0 else mask | 1 << x
+                states[j] = (d, mask)
+                if d:
+                    low = mask | 1  # its lowest clear bit is the smallest new symbol
+                    x = syms[j] = 1 if n - j > d else (~low & low + 1).bit_length() - 1
+                    j += 1
+            states[j + 1:] = [(0, 0)] * (n - j)  # where the old arches ran on
         yield Word._trusted(tuple(syms), sigma)
 
 
