@@ -67,8 +67,8 @@ constants come from one table of factorials in O(1) products per pole:
 D_i = (-1)**(sigma - i) (i - 1)! (sigma - i)!, E_sigma = D_sigma**k, and
 E_i = (D_i/(i - sigma))**k (i - sigma) for i < sigma. The product is a
 series b(z) = sum_t b_t z**t with integer coefficients, built to t = m_i - 1
-from its logarithmic derivative; the s_l are built only where m_i > 1. Let c
-be the product over the k-fold poles l < sigma alone. Then
+by _series from its logarithmic derivative; the s_l are built only where
+m_i > 1. Let c be the product over the k-fold poles l < sigma alone. Then
 c'/c = sum_l -k s_l/(1 + s_l z) gives
 
     t c_t = -k sum_l h_l(t - 1),   h_l(t) = s_l (c_t - h_l(t - 1)),
@@ -86,21 +86,31 @@ contributes one fraction over E_i D_i**(m_i - 1). The fractions are joined
 over the lcm of their denominators and divided exactly, with an
 AssertionError on a remainder; nothing is rounded.
 
-A count without a table takes the cheaper of the two by an estimate in chain
-cells, fitted to timings of both (2-vCPU VM, Python 3.11). Each pole costs
-about 2k(sigma - 1) + 24 cells: its series, its binomial loop, its power of
-about M*log2(i) bits and its constants. The chain up to row k*sigma - 1
-costs its (M + 1)(k(sigma - 1) + 1) built cells and about 2 more per row.
-So the chain runs only while M is small: M < 19 at (k, sigma) = (20, 10),
-M < 39 at (1, 10) and M < 89 at (2, 40). The measured crossovers are about
-M = 19, 10 and 55 there: at small k the estimate overstates a pole, which
-costs time near the switch but never changes a count.
+With small slack the poles are not needed: 1/Q is itself a series of that
+form in x, the roots s_l being -l for 0 < l < sigma and s_sigma = -sigma, so
+
+    |U| = (sigma!)**k [x**M] prod_{0<l<sigma} (1 - l x)**-k / (1 - sigma x)
+
+is _series run to M + 1 terms of sigma - 1 running sums each. The poles
+compute the D coefficients A_ij, each term of a pole's series again about
+sigma steps. So a count without a table runs the series iff M + 1 < D, that
+is M < k(sigma - 1), and the poles otherwise; at k = 0 the poles are the
+single power sigma**n. No constant is fitted, and the rule misses the
+crossover both ways. The measured first M at which the poles beat the
+series, against the rule's k(sigma - 1), is for (k, sigma) = (1, 10) 8/9,
+(1, 200) 60/199, (2, 40) 109/78, (2, 200) 995/398, (20, 10) 216/180,
+(20, 40) 1092/780, (60, 4) 252/180, (450, 2) 270/450 and (1000, 2)
+700/1000 (in-process medians of 3, shared 2-vCPU VM, Python 3.11). The
+rule is early where the poles' series run on constants of about
+log2(sigma!) bits, and late at k = 1, where no pole has a series, and at
+sigma = 2, where none has a running sum. At (1, 200) the series takes up to
+4.7 times the poles' time just below the switch.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import factorial, lcm
 from operator import mul
 
@@ -301,6 +311,24 @@ def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)) if n >= k * sigma else [])
 
 
+def _series(roots: Sequence[int], k: int, s: int, length: int) -> list[int]:
+    """[z**t] prod_r (1 + r z)**-k / (1 + s z) for t < length, in exact
+    integers: one running sum per root r and one exact division by t per
+    coefficient, then one division by (1 + s z) (see the module docstring).
+    Raises AssertionError on a remainder."""
+    b = [1] + [0] * (length - 1)
+    h = roots  # h_r(t - 1): r times [z**(t - 1)] c / (1 + r z)
+    for t in range(1, length if roots else 1):
+        c, rem = divmod(-k * sum(h), t)
+        if rem:
+            raise AssertionError("a series left a nonzero remainder")
+        b[t] = c
+        h = [r * (c - h_r) for r, h_r in zip(roots, h)]
+    for t in range(1, length):
+        b[t] -= s * b[t - 1]
+    return b
+
+
 def _count_by_poles(n: int, k: int, sigma: int) -> int:
     """(sigma!)**k [x**M] 1/Q(x) in exact integers, by partial fractions over
     the poles 1/i of Q (see the module docstring). At k = 0 only 1/sigma is a
@@ -316,23 +344,13 @@ def _count_by_poles(n: int, k: int, sigma: int) -> int:
         m_i = k if i < sigma else 1
         # d_i = prod_{l != i} (i - l) = (-1)**(sigma - i) (i - 1)! (sigma - i)!
         d_i = fact[i - 1] * fact[sigma - i] * (-1) ** (sigma - i)
-        # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1): first the
-        # product c over the k-fold poles l < sigma by running sums (none at
-        # sigma = 2, where c = 1), then one division by the simple pole's
-        # (1 + s z); m_i = 1 leaves b = [1]
-        b = [1] + [0] * (m_i - 1)
+        # b = prod_{l != i} (1 + s_l z)**-m_l up to z**(m_i - 1), the roots
+        # being the k-fold poles' s_l (none at sigma = 2) and s the simple
+        # pole's; m_i = 1 leaves b = [1]
+        b = [1]
         if m_i > 1:
-            folds = [l * d_i // (i - l) for l in range(1, sigma) if l != i]  # s_l, l k-fold
-            h = folds  # h_l(t - 1): s_l times [z**(t - 1)] c / (1 + s_l z)
-            for t in range(1, m_i if folds else 1):
-                c, rem = divmod(-k * sum(h), t)
-                if rem:
-                    raise AssertionError("a pole's series left a nonzero remainder")
-                b[t] = c
-                h = [s_l * (c - h_l) for s_l, h_l in zip(folds, h)]
-            s = sigma * d_i // (i - sigma)
-            for t in range(1, m_i):
-                b[t] -= s * b[t - 1]
+            folds = [l * d_i // (i - l) for l in range(1, sigma) if l != i]
+            b = _series(folds, k, sigma * d_i // (i - sigma), m_i)
         acc = 0
         binom = 1  # C(M + j - 1, j - 1)
         power = 1  # d_i**(j - 1)
@@ -356,10 +374,11 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
     """Exact number of k-universal words of length n over {1..sigma}.
 
     With a table this is its last cell, sigma times the last cell of row
-    k*sigma - 1 when k >= 1. Without one it is the partial-fraction sum of
-    the module docstring, or, when the chain up to row k*sigma - 1 is
-    estimated to cost less (small n - k*sigma), that chain with only its
-    current row kept.
+    k*sigma - 1 when k >= 1. Without one it is (sigma!)**k [x**M] 1/Q(x),
+    M = n - k*sigma: from the series of 1/Q itself while its M + 1 terms are
+    fewer than the D = k*(sigma - 1) + 1 coefficients of the partial
+    fractions, and from the partial-fraction sum otherwise (see the module
+    docstring).
     """
     _check_params(n, k, sigma, table)
     if n < k * sigma:
@@ -367,9 +386,7 @@ def count_universal(n: int, k: int, sigma: int, table: SuffixCountTable | None =
     if table is not None:
         table.lookups += 1
         return sigma * table.rows[-2][-1] if k else table.rows[0][-1]
-    # both estimates in chain cells, fitted to timings (module docstring);
-    # at k = 0 the sum is one power and the chain has no row k*sigma - 1
-    built = (n - k * sigma + 1) * (k * (sigma - 1) + 1)
-    if k == 0 or sigma * (2 * k * (sigma - 1) + 24) <= built + 2 * k * sigma:
-        return _count_by_poles(n, k, sigma)
-    return sigma * next(islice(_chain(n, k, sigma), k * sigma - 1, None))[-1]
+    big_m = n - k * sigma
+    if big_m < k * (sigma - 1):
+        return factorial(sigma) ** k * _series(range(-1, -sigma, -1), k, -sigma, big_m + 1)[big_m]
+    return _count_by_poles(n, k, sigma)

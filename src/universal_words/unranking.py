@@ -79,23 +79,23 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     position until the k-th arch closes, and one where the open arch is
     empty; the free suffix after it is one base-sigma conversion that reads
     O((n - j) / 32) powers, or O((n - j) / 512) when sigma is 2, 8, 10 or 16.
-    A rank that is not an int, a bool or a float such as 3.0 included, or a
-    negative one raises RankOutOfRange before any table is built.
+    The set size comes first, from the table-free count when no table is
+    given, so a rank outside 0..size - 1 (one that is not an int, a bool or a
+    float such as 3.0 included) raises RankOutOfRange before any table is
+    built.
     """
-    if type(r) is not int or r < 0:
-        raise RankOutOfRange(r, count_universal(n, k, sigma, table))
-    if table is None:
-        table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)
+    if type(r) is not int or r < 0:
+        raise RankOutOfRange(r, total)
     if total == 0:
         raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
     if r >= total:
         raise RankOutOfRange(r, total)
-    return next(_stream(table, r, r + 1))
+    return next(_stream(table or build_table(n, k, sigma), r, r + 1))
 
 
 def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
-    """The k-universal words of ranks r..stop-1, smallest first.
+    """The k-universal words of ranks r..stop-1, r < stop, smallest first.
 
     The first word is unranked by _descend, which returns the arch state
     after each position up to the free suffix; unrank() takes only this word.
@@ -109,8 +109,6 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     all 1s once k arches have closed. The scan for p sets each position it
     passes to 1, so only where p lies in the arches is anything refilled.
     """
-    if r >= stop:
-        return
     n, sigma = table.n, table.sigma
     syms = [0] * n
     states = _descend(table, syms, r)
@@ -156,17 +154,16 @@ def enumerate_words(
 
     The arguments are checked when this is called, not when the first word is
     taken: a limit that is not an int >= 0, a start rank that is not an int
-    in 0..count, or a table built for other parameters raise here. A limit
-    or start rank that is not an int >= 0 raises before any table is built.
+    in 0..count, or a table built for other parameters raise here. The count
+    is table-free when no table is given, so no refusal waits for a build,
+    and an empty slice builds no table.
     """
     if limit is not None and (type(limit) is not int or limit < 0):
         raise ValueError(f"limit must be a nonnegative int, got {limit!r}")
-    if type(from_rank) is not int or from_rank < 0:
-        raise RankOutOfRange(from_rank, count_universal(n, k, sigma, table))
-    if table is None:
-        table = build_table(n, k, sigma)
     total = count_universal(n, k, sigma, table)
-    if from_rank > total:
+    if type(from_rank) is not int or not 0 <= from_rank <= total:
         raise RankOutOfRange(from_rank, total)
     stop = total if limit is None else min(total, from_rank + limit)
-    return _stream(table, from_rank, stop)
+    if from_rank == stop:
+        return iter(())
+    return _stream(table or build_table(n, k, sigma), from_rank, stop)

@@ -398,6 +398,21 @@ def test_module_entry_point():
     assert proc.stdout == "4\n"
 
 
+def test_enum_into_a_closed_pipe_exits_quietly():
+    # `uwords enum ... | head -1`: the reader leaves after 1 of 16,777,124 words
+    src = Path(cli.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "universal_words", "enum", "--n", "24", "--k", "2", "--sigma", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert proc.stdout.readline() == b"111111111111111111111212\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_cli_imports_only_what_a_command_needs():
     # every command but verify, which needs the oracle, runs in one process
     # -S keeps site, and any .pth file it reads, from importing modules first

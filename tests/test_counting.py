@@ -138,34 +138,23 @@ def test_counts_match_state_walk_oracle_at_larger_n():
 
 
 def test_table_free_count_computes_no_unread_powers(monkeypatch):
-    # sigma**m for m up to n costs O(n**2) bits; a count reads m <= n - k*sigma only
-    widths = []
-    chain = counting._chain
+    # the chain builds sigma**m for every m <= n - k*sigma, O(n**2) bits at
+    # k = 0; a count without a table runs the series or the poles, never it
+    def no_chain(*args):
+        raise AssertionError("a table-free count ran the chain")
 
-    def recording(n, k, sigma):
-        rows = list(chain(n, k, sigma))
-        widths.append([len(row) for row in rows if row is not None])
-        return iter(rows)
-
-    monkeypatch.setattr(counting, "_chain", recording)
+    monkeypatch.setattr(counting, "_chain", no_chain)
     assert count_universal(10**6, 0, 2) == 1 << 10**6
-    assert widths == []
-    # (16, 3, 4): poles estimated at 4 * (2*3*3 + 24) = 168 cells against
-    # 5 * 10 + 2*3*4 = 74, so the chain runs; it builds the k*(sigma - 1) + 1
-    # rows that are not sigma times the last
-    assert count_universal(16, 3, 4) == brute_count(16, 3, 4)
-    assert widths == [[16 - 3 * 4 + 1] * (3 * 3 + 1)]
-    # partial fractions are cheaper here: no chain
-    assert count_universal(40, 3, 4) == brute_count(40, 3, 4)
+    assert count_universal(16, 3, 4) == brute_count(16, 3, 4)  # M = 4 < 9: the series
+    assert count_universal(40, 3, 4) == brute_count(40, 3, 4)  # the poles
     count_universal(2000, 20, 10)
-    assert len(widths) == 1
 
 
-def _chained(monkeypatch, n, k, sigma):
-    """count_universal(n, k, sigma) and whether it ran the chain."""
+def _by_poles(monkeypatch, n, k, sigma):
+    """count_universal(n, k, sigma) and whether it summed the poles."""
     calls = []
-    chain = counting._chain
-    monkeypatch.setattr(counting, "_chain", lambda *a: calls.append(a) or chain(*a))
+    poles = counting._count_by_poles
+    monkeypatch.setattr(counting, "_count_by_poles", lambda *a: calls.append(a) or poles(*a))
     count = count_universal(n, k, sigma)
     monkeypatch.undo()
     return count, calls == [(n, k, sigma)]
@@ -179,23 +168,32 @@ def test_table_free_count_equals_table_count_small_grid():
                 assert count_universal(n, k, sigma) == expected, (n, k, sigma)
 
 
-@pytest.mark.parametrize("k, sigma", [(1, 10), (5, 3), (3, 4), (20, 10), (2, 40), (10, 2)])
+@pytest.mark.parametrize(
+    "k, sigma", [(1, 10), (5, 3), (3, 4), (20, 10), (2, 40), (10, 2), (1, 200), (450, 2)]
+)
 def test_table_free_count_agrees_on_both_sides_of_the_switch(monkeypatch, k, sigma):
-    # the least slack M with
-    # (M + 1)(k(sigma - 1) + 1) + 2k*sigma >= sigma (2k(sigma - 1) + 24)
-    poles = sigma * (2 * k * (sigma - 1) + 24) - 2 * k * sigma
-    first = -(-poles // (k * (sigma - 1) + 1)) - 1
+    # the series runs while M + 1 < D = k(sigma - 1) + 1, the poles from
+    # M = k(sigma - 1) on
+    first = k * (sigma - 1)
     assert first > 0
-    for n, chained in ((k * sigma + first - 1, True), (k * sigma + first, False)):
+    for n, poles in ((k * sigma + first - 1, False), (k * sigma + first, True)):
         expected = count_universal(n, k, sigma, build_table(n, k, sigma))
-        assert _chained(monkeypatch, n, k, sigma) == (expected, chained)
+        assert _by_poles(monkeypatch, n, k, sigma) == (expected, poles)
         assert counting._count_by_poles(n, k, sigma) == expected
 
 
 def _chain_count(n, k, sigma):
     """sigma * rows[k*sigma - 1][M] of the chain build_table stores, one row
-    live at a time; it shares no code with the poles."""
+    live at a time; it shares no code with the poles or the series."""
     return sigma * next(islice(counting._chain(n, k, sigma), k * sigma - 1, None))[-1]
+
+
+def _series_count(n, k, sigma):
+    """(sigma!)**k [x**M] prod_{i<sigma} (1 - i x)**-k / (1 - sigma x), the
+    series of 1/Q itself, as a count with small slack takes it."""
+    big_m = n - k * sigma
+    series = counting._series(range(-1, -sigma, -1), k, -sigma, big_m + 1)
+    return factorial(sigma) ** k * series[big_m]
 
 
 @pytest.mark.parametrize(
@@ -207,13 +205,14 @@ def test_poles_agree_with_the_chain_where_each_series_is_long(n, k, sigma):
 
 
 def test_poles_agree_with_the_chain_on_a_grid_of_series_lengths():
+    # the series of 1/Q runs at every slack here, past the switch too
     for sigma in range(1, 9):
         for k in (1, 2, 5, 9, 12):
             for big_m in (0, 1, 7, 24):
                 n = k * sigma + big_m
-                assert counting._count_by_poles(n, k, sigma) == _chain_count(n, k, sigma), (
-                    n, k, sigma,
-                )
+                chained = _chain_count(n, k, sigma)
+                assert counting._count_by_poles(n, k, sigma) == chained, (n, k, sigma)
+                assert _series_count(n, k, sigma) == chained, (n, k, sigma)
 
 
 def test_large_n_count_at_k_one_is_inclusion_exclusion():

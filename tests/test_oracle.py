@@ -71,6 +71,8 @@ def test_guards_are_hard_errors():
         brute_is_k_universal(make_word([1, 2] * 20, 2), 30)
     with pytest.raises(GuardExceeded):
         brute_enumerate(30, 1, 2)
+    with pytest.raises(GuardExceeded, match=r"sigma\*\*k"):
+        brute_enumerate(23, 20, 2)  # sigma**n passes, sigma**k trips before a word is listed
     with pytest.raises(GuardExceeded):
         brute_index(make_word(list(range(1, 11)) * 8, 10))
 

@@ -42,7 +42,7 @@ def test_unrank_rejects_out_of_range():
 
 
 def _no_table(*args):
-    raise AssertionError("a table was built for a rank that is not an int")
+    raise AssertionError("a table was built for a rank that is refused")
 
 
 @pytest.mark.parametrize(
@@ -55,6 +55,7 @@ def _no_table(*args):
         (True, 4, 2, 2),
         (-1, 2000, 20, 10),  # negative ranks are refused before a build too,
         (-1, 3, 2, 2),  # also where the set is empty
+        (count_universal(2000, 20, 10), 2000, 20, 10),  # rank = set size
     ],
 )
 def test_unrank_refuses_a_non_int_rank(monkeypatch, r, n, k, sigma):
@@ -67,12 +68,15 @@ def test_unrank_refuses_a_non_int_rank(monkeypatch, r, n, k, sigma):
 
 def test_enumeration_refuses_a_non_int_start_or_limit(monkeypatch):
     monkeypatch.setattr(unranking, "build_table", _no_table)
-    for start in (1.0, True, -1):
+    for start in (1.0, True, -1, count_universal(8, 2, 2) + 1):
         with pytest.raises(RankOutOfRange):
             enumerate_words(8, 2, 2, from_rank=start)
     for limit in (1.5, 2.0, True):
         with pytest.raises(ValueError, match="limit must be a nonnegative int"):
             enumerate_words(8, 2, 2, limit=limit)
+    # an empty slice is no refusal, and needs no table either
+    assert list(enumerate_words(8, 2, 2, from_rank=count_universal(8, 2, 2))) == []
+    assert list(enumerate_words(8, 2, 2, from_rank=3, limit=0)) == []
 
 
 def test_unrank_rejects_empty_set():

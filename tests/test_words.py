@@ -211,6 +211,8 @@ def test_word_is_hashable_and_repr_readable():
     w = make_word([2, 1], 2)
     assert w in {w}
     assert repr(w) == "Word('21', sigma=2)"
+    assert str(w) == "21"
+    assert list(w) == [2, 1]
 
 
 def reference_parse(text, sigma):
