@@ -41,9 +41,10 @@ place holds None, so row indices stay d and a stray read fails loudly. The
 table stores k*(sigma - 1) + 1 rows of n - k*sigma + 1 cells, half the
 rectangle at sigma = 2. When n < k*sigma the set is empty, no query reads a
 cell, and the table stores no row at all. sigma = 1 has no row with
-q >= 1 to fold into and keeps its k + 1 rows of ones. The set of k-universal
-words of length n has size rows[k*sigma][n - k*sigma], that is
-sigma * rows[k*sigma - 1][n - k*sigma] for k >= 1, or 0 when n < k*sigma.
+q >= 1 to fold into: all k + 1 of its rows are the row of ones, and each
+place holds that one list. The set of k-universal words of length n has
+size rows[k*sigma][n - k*sigma], that is sigma * rows[k*sigma - 1][n - k*sigma]
+for k >= 1, or 0 when n < k*sigma.
 
 A count alone needs no table. With M = n - k*sigma the generating function
 above gives |U| = (sigma!)**k [x**M] 1/Q(x), where
@@ -138,16 +139,17 @@ class SuffixCountTable:
     rows[d][m] counts the completions of a state owing d symbols with slack m
     (see the module docstring): rows[0] is sigma**m, and every row d = 0 to
     k*sigma covers m <= n - k*sigma. For sigma >= 2 a row d = c*sigma, c >= 1,
-    is None: it is sigma * rows[d - 1], and readers multiply. No row is
-    stored twice. Values are exact arbitrary-precision integers. ``lookups``
-    counts cell reads, a read of sigma times a cell of the row below a
-    left-out row included: the one of count_universal(), the power-row reads
-    through power(), which rank and unrank pass to free_suffix() and
-    free_rank(), and the reads that rank and unrank make in place and add
-    once per call. An enumeration reads only for its first word, which it
-    unranks. rows is empty when n < k*sigma, where the set is empty and no
-    query reads a cell. ``build_ops`` is the number of cells built. Both are
-    advisory instrumentation, not value state.
+    is None: it is sigma * rows[d - 1], and readers multiply. At sigma = 1
+    every place holds the one row of ones; otherwise no row is stored twice.
+    Values are exact arbitrary-precision integers. ``lookups`` counts cell
+    reads, a read of sigma times a cell of the row below a left-out row
+    included: the one of count_universal(), the power-row reads through
+    power(), which rank and unrank pass to free_suffix() and free_rank(), and
+    the reads that rank and unrank make in place and add once per call. An
+    enumeration reads only for its first word, which it unranks. rows is
+    empty when n < k*sigma, where the set is empty and no query reads a cell.
+    ``build_ops`` is the number of cells built, each stored list counted
+    once. Both are advisory instrumentation, not value state.
     """
 
     __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
@@ -157,16 +159,14 @@ class SuffixCountTable:
         self.k = k
         self.sigma = sigma
         self.rows = rows
-        self.build_ops = sum(len(row) for row in rows if row is not None)
+        # each stored list once: at sigma = 1 every place holds the same row
+        self.build_ops = sum(map(len, {id(row): row for row in rows if row}.values()))
         self.lookups = 0
 
     def power(self, h: int) -> int:
         """sigma**h from the power row rows[0], counted as one lookup."""
         self.lookups += 1
         return self.rows[0][h]
-
-    def __repr__(self) -> str:
-        return f"SuffixCountTable(n={self.n}, k={self.k}, sigma={self.sigma})"
 
 
 def free_suffix(x: int, length: int, sigma: int, power: Callable[[int], int]) -> list[int]:
@@ -265,14 +265,15 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
 def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
     """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m.
 
-    Each row is a new list, one pass over the last row built. With q the open
-    arch's size, a q = 0 row d >= sigma is sigma times the row before: for
-    sigma >= 2 it is yielded as None and not built, and the next row, whose
-    grow = sigma - q is 1, multiplies by sigma instead. At sigma = 1 every row
-    is q = 0 and a copy of the row of ones. A q = 1 row is the prefix sums of
-    grow times the row before (one accumulate, with no product when
-    grow = 1), which runs in C. Other rows take one interpreter step per cell,
-    two small-by-big products and a sum.
+    Each row built is a new list, one pass over the last row built. With q
+    the open arch's size, a q = 0 row d >= sigma is sigma times the row
+    before: for sigma >= 2 it is yielded as None and not built, and the next
+    row, whose grow = sigma - q is 1, multiplies by sigma instead. At
+    sigma = 1 every row is q = 0 and equal to the row of ones, so that same
+    list is yielded again. A q = 1 row is the prefix sums of grow times the
+    row before (one accumulate, with no product when grow = 1), which runs in
+    C. Other rows take one interpreter step per cell, two small-by-big
+    products and a sum.
     """
     width = n - k * sigma + 1
     row = [1] * width
@@ -288,11 +289,9 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
             continue
         grow = (sigma - q) * fold
         fold = 1
-        if q == 0:
-            row = row.copy()
-        elif q == 1:
+        if q == 1:
             row = list(accumulate(row if grow == 1 else map(grow.__mul__, row)))
-        else:
+        elif q:
             nxt = [0] * width
             prev = 0
             for m in range(width):
@@ -305,8 +304,9 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
     """Keep every row of the chain that is built: for sigma >= 2,
     (k*(sigma - 1) + 1) * (n - k*sigma + 1) cells, the k rows d = c*sigma
-    being None; for sigma = 1, (k + 1) * (n - k + 1) cells. No row at all
-    when n < k*sigma, where the set is empty and no query reads one."""
+    being None; for sigma = 1, the n - k + 1 cells of the one row of ones
+    that every row d refers to. No row at all when n < k*sigma, where the
+    set is empty and no query reads one."""
     _check_params(n, k, sigma)
     return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)) if n >= k * sigma else [])
 

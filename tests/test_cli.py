@@ -112,6 +112,15 @@ def test_verify_passes(capsys):
     assert "count: ok" in lines
     assert "rank: ok" in lines
     assert "non-member ranks: ok" in lines
+    # sigma**n = 103,823 is above the sweep's limit: the set is empty, and
+    # only the four fast paths are checked
+    argv = ("verify", "--n", "3", "--k", "1", "--sigma", "47")
+    checks = ["count", "enumeration", "rank", "unrank"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "".join(f"{name}: ok\n" for name in checks) + "PASS\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"passed": True, "checks": dict.fromkeys(checks, True)}
 
 
 def test_verify_reports_a_mismatch(capsys, monkeypatch):
