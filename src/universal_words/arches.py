@@ -24,14 +24,19 @@ class ArchFactorization(_Value):
         arch_count: int,
         suffix_start: int,  # n + 1 when the residual suffix is empty
     ):
-        object.__setattr__(self, "arch_starts", arch_starts)
-        object.__setattr__(self, "arch_count", arch_count)
-        object.__setattr__(self, "suffix_start", suffix_start)
+        _set_arch_starts(self, arch_starts)
+        _set_arch_count(self, arch_count)
+        _set_suffix_start(self, suffix_start)
 
     def arch_bounds(self) -> list[tuple[int, int]]:
         """(start, end) of each arch, 1-based inclusive."""
         ends = list(self.arch_starts[1:]) + [self.suffix_start]
         return [(s, e - 1) for s, e in zip(self.arch_starts, ends)]
+
+
+_set_arch_starts = ArchFactorization.arch_starts.__set__
+_set_arch_count = ArchFactorization.arch_count.__set__
+_set_suffix_start = ArchFactorization.suffix_start.__set__
 
 
 def arch_factorize(w: Word) -> ArchFactorization:

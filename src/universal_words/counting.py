@@ -38,13 +38,27 @@ built: the next row takes the factor sigma into its own pass, and the only
 read that reaches it, the count of a new symbol that closes an arch, reads
 sigma times the row below (no read repeats a symbol of an empty arch). Its
 place holds None, so row indices stay d and a stray read fails loudly. The
-table stores k*(sigma - 1) + 1 rows of n - k*sigma + 1 cells, half the
+build computes k*(sigma - 1) + 1 rows of n - k*sigma + 1 cells, half the
 rectangle at sigma = 2. When n < k*sigma the set is empty, no query reads a
 cell, and the table stores no row at all. sigma = 1 has no row with
 q >= 1 to fold into: all k + 1 of its rows are the row of ones, and each
 place holds that one list. The set of k-universal words of length n has
 size rows[k*sigma][n - k*sigma], that is sigma * rows[k*sigma - 1][n - k*sigma]
 for k >= 1, or 0 when n < k*sigma.
+
+Nor is every cell kept. A query starts at slack M = n - k*sigma, and its
+slack falls by one only at a repeated symbol, so most queries read only the
+top slacks: at (2000, 20, 10) 300 random queries read down to slack 1200
+or so, of 1800. So each row d >= 1 is a window, cut into blocks of
+B = ceil(sqrt(M + 1)) slacks from the top down. The build runs the chain
+once over every slack and keeps of each row its top block and one carry per
+lower block, the row's cell just below that block: about 2*sqrt(M + 1)
+cells, against M + 1. rows[0] stays whole, since the free suffix reads its
+powers. A block is recomputed on demand, forward from its carries with the
+chain's own row step, since a row's cells over a range of slacks follow
+from the row below over that range and the row's cell just below it. So
+the table fills downward, block by block, as far as the deepest query
+has read (SuffixCountTable.fill), and at most to the full rows.
 
 A count alone needs no table. With M = n - k*sigma the generating function
 above gives |U| = (sigma!)**k [x**M] 1/Q(x), where
@@ -111,8 +125,8 @@ sigma = 2, where none has a running sum. At (1, 200) the series takes up to
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from itertools import accumulate
-from math import factorial, lcm
+from itertools import accumulate, repeat
+from math import factorial, isqrt, lcm
 from operator import mul
 
 from .errors import AlphabetMismatch, InvalidK, LengthMismatch
@@ -134,31 +148,44 @@ _FROM_BASE16 = bytes.maketrans(b"0123456789abcdef", bytes(range(1, 17)))
 
 
 class SuffixCountTable:
-    """The chain rows of suffix-completion counts for fixed (n, k, sigma).
+    """The chain rows of suffix-completion counts for fixed (n, k, sigma),
+    filled downward on demand.
 
     rows[d][m] counts the completions of a state owing d symbols with slack m
     (see the module docstring): rows[0] is sigma**m, and every row d = 0 to
     k*sigma covers m <= n - k*sigma. For sigma >= 2 a row d = c*sigma, c >= 1,
     is None: it is sigma * rows[d - 1], and readers multiply. At sigma = 1
     every place holds the one row of ones; otherwise no row is stored twice.
-    Values are exact arbitrary-precision integers. ``lookups`` counts cell
-    reads, a read of sigma times a cell of the row below a left-out row
-    included: the one of count_universal(), the power-row reads through
-    power(), which rank and unrank pass to free_suffix() and free_rank(), and
-    the reads that rank and unrank make in place and add once per call. An
-    enumeration reads only for its first word, which it unranks. rows is
-    empty when n < k*sigma, where the set is empty and no query reads a cell.
-    ``build_ops`` is the number of cells built, each stored list counted
-    once. Both are advisory instrumentation, not value state.
+    Values are exact arbitrary-precision integers.
+
+    Every row holds all cells at slack >= ``filled``; below it only its carry
+    cells are stored (see build_table), and every other place holds None, so
+    a read there fails loudly. fill(s) lowers ``filled`` to the start of the
+    block that holds slack s; rank and unrank call it before they read below
+    ``filled``. rows[0] is always complete, and so is every row when
+    ``filled`` is 0.
+
+    ``lookups`` counts cell reads, a read of sigma times a cell of the row
+    below a left-out row included: the one of count_universal(), the
+    power-row reads through power(), which rank and unrank pass to
+    free_suffix() and free_rank(), and the reads that rank and unrank make in
+    place and add once per call. An enumeration reads only for its first
+    word, which it unranks. rows is empty when n < k*sigma, where the set is
+    empty and no query reads a cell. ``build_ops`` is the number of cells the
+    build computed, each stored list counted once at its full length. Both
+    are advisory instrumentation, not value state; fills count in neither.
     """
 
-    __slots__ = ("n", "k", "sigma", "rows", "build_ops", "lookups")
+    __slots__ = ("n", "k", "sigma", "rows", "filled", "build_ops", "lookups")
 
-    def __init__(self, n: int, k: int, sigma: int, rows: list[list[int] | None]):
+    def __init__(
+        self, n: int, k: int, sigma: int, rows: list[list[int | None] | None], filled: int = 0
+    ):
         self.n = n
         self.k = k
         self.sigma = sigma
         self.rows = rows
+        self.filled = filled
         # each stored list once: at sigma = 1 every place holds the same row
         self.build_ops = sum(map(len, {id(row): row for row in rows if row}.values()))
         self.lookups = 0
@@ -167,6 +194,28 @@ class SuffixCountTable:
         """sigma**h from the power row rows[0], counted as one lookup."""
         self.lookups += 1
         return self.rows[0][h]
+
+    def fill(self, s: int) -> int:
+        """Fill every row down to the start of the block that holds slack s,
+        and return the new ``filled``.
+
+        One forward chain pass over the slacks from there up to ``filled``,
+        seeded by each row's carry just below them; the carries it passes are
+        recomputed to the values they hold. Nothing is done when s >= filled.
+        """
+        low = self.filled
+        if s >= low:
+            return low
+        big_m = self.n - self.k * self.sigma
+        block = _block(big_m + 1)
+        lo = max(big_m + 1 - ((big_m - s) // block + 1) * block, 0)
+        rows = self.rows
+        carries = [row[lo - 1] if lo and row else 0 for row in rows]
+        for row, cells in zip(rows, _chain(self.sigma, self.k, rows[0][lo:low], carries)):
+            if cells is not None:
+                row[lo:low] = cells
+        self.filled = lo
+        return lo
 
 
 def free_suffix(x: int, length: int, sigma: int, power: Callable[[int], int]) -> list[int]:
@@ -262,23 +311,31 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
         raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
 
 
-def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
-    """Yield row d = 0..k*sigma over slack m <= n - k*sigma, row 0 being sigma**m.
+def _block(width: int) -> int:
+    """The block length B = ceil(sqrt(width)) of a row of width slacks: its
+    carries, one per block below the top one, then cost about one block."""
+    return isqrt(width - 1) + 1
 
-    Each row built is a new list, one pass over the last row built. With q
-    the open arch's size, a q = 0 row d >= sigma is sigma times the row
-    before: for sigma >= 2 it is yielded as None and not built, and the next
-    row, whose grow = sigma - q is 1, multiplies by sigma instead. At
-    sigma = 1 every row is q = 0 and equal to the row of ones, so that same
-    list is yielded again. A q = 1 row is the prefix sums of grow times the
-    row before (one accumulate, with no product when grow = 1), which runs in
-    C. Other rows take one interpreter step per cell, two small-by-big
-    products and a sum.
+
+def _chain(
+    sigma: int, k: int, powers: list[int], carries: Sequence[int] | None = None
+) -> Iterator[list[int] | None]:
+    """Yield row d = 0..k*sigma over one range of slacks, row 0 being powers,
+    sigma**m over that range.
+
+    carries[d] is row d's cell just below the range; without carries the
+    range starts at slack 0, below which every row d >= 1 is 0. Each row built
+    is a new list, one pass over the last row built, seeded by its carry.
+    With q the open arch's size, a q = 0 row d >= sigma is sigma times the
+    row before: for sigma >= 2 it is yielded as None and not built, and the
+    next row, whose grow = sigma - q is 1, multiplies by sigma instead. At
+    sigma = 1 every row is q = 0 and equal to the row of ones, so powers is
+    yielded again. A q = 1 row is the prefix sums of grow times the row
+    before from its carry on (one accumulate, with no product when grow = 1),
+    which runs in C. Other rows take one interpreter step per cell, two
+    small-by-big products and a sum.
     """
-    width = n - k * sigma + 1
-    row = [1] * width
-    for m in range(1, width):
-        row[m] = row[m - 1] * sigma
+    row = powers
     yield row
     fold = 1  # sigma after a row left out: the next row multiplies for it
     for d in range(1, k * sigma + 1):
@@ -289,26 +346,51 @@ def _chain(n: int, k: int, sigma: int) -> Iterator[list[int] | None]:
             continue
         grow = (sigma - q) * fold
         fold = 1
+        prev = carries[d] if carries else 0
         if q == 1:
-            row = list(accumulate(row if grow == 1 else map(grow.__mul__, row)))
+            row = list(accumulate(row if grow == 1 else map(grow.__mul__, row), initial=prev))
+            del row[0]
         elif q:
-            nxt = [0] * width
-            prev = 0
-            for m in range(width):
-                prev = grow * row[m] + q * prev
+            nxt = [0] * len(row)
+            for m, below in enumerate(row):
+                prev = grow * below + q * prev
                 nxt[m] = prev
             row = nxt
         yield row
 
 
 def build_table(n: int, k: int, sigma: int) -> SuffixCountTable:
-    """Keep every row of the chain that is built: for sigma >= 2,
-    (k*(sigma - 1) + 1) * (n - k*sigma + 1) cells, the k rows d = c*sigma
-    being None; for sigma = 1, the n - k + 1 cells of the one row of ones
-    that every row d refers to. No row at all when n < k*sigma, where the
-    set is empty and no query reads one."""
+    """Run the chain once over every slack m <= M = n - k*sigma, keeping of
+    each row only its window.
+
+    The build computes (k*(sigma - 1) + 1) * (M + 1) cells for sigma >= 2
+    (``build_ops``), the k rows d = c*sigma being None. It keeps rows[0]
+    whole, for power(), and of every other row only its top block of
+    B = ceil(sqrt(M + 1)) slacks, M - B + 1..M, and one carry per block below
+    it: the row's cell at M - j*B for j >= 1, just below block j. So a row
+    stores about 2*sqrt(M + 1) cells, and ``filled`` is M - B + 1; fill()
+    recomputes a lower block from its carries. For sigma = 1 the n - k + 1
+    cells of the one row of ones, which every row d refers to, are all kept,
+    as is the power row at k = 0. No row at all when n < k*sigma, where the
+    set is empty and no query reads one.
+    """
     _check_params(n, k, sigma)
-    return SuffixCountTable(n, k, sigma, list(_chain(n, k, sigma)) if n >= k * sigma else [])
+    if n < k * sigma:
+        return SuffixCountTable(n, k, sigma, [])
+    width = n - k * sigma + 1
+    powers = list(accumulate(repeat(sigma, width - 1), mul, initial=1))
+    block = _block(width)
+    top = width - block if k and sigma > 1 else 0
+    rows = []
+    for row in _chain(sigma, k, powers):
+        if row is not None and row is not powers:
+            window = [None] * width
+            window[top:] = row[top:]
+            if top:  # the carries at M - B, M - 2*B, ... >= 0
+                window[top - 1::-block] = row[top - 1::-block]
+            row = window
+        rows.append(row)
+    return SuffixCountTable(n, k, sigma, rows, top)
 
 
 def _series(roots: Sequence[int], k: int, s: int, length: int) -> list[int]:

@@ -38,8 +38,12 @@ class RankResult(_Value):
     __slots__ = ("rank", "member")
 
     def __init__(self, rank: int, member: bool):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "member", member)
+        _set_rank(self, rank)
+        _set_member(self, member)
+
+
+_set_rank = RankResult.rank.__set__
+_set_member = RankResult.member.__set__
 
 
 def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
@@ -56,6 +60,7 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     _check_params(n, k, sigma, table)
 
     rows = table.rows
+    low = table.filled  # every row holds its cells from this slack up
     total = reads = 0
     d = sigma * k  # symbols still owed before k arches close
     slack = n - d  # slack after a new symbol here; a repeated one leaves one less
@@ -68,9 +73,13 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
                 repeats = (mask & ((1 << s) - 1)).bit_count()
                 news = s - 1 - repeats
                 if repeats and slack > 0:
+                    if slack <= low:
+                        low = table.fill(slack - 1)
                     sums[repeats - 1] += rows[d][slack - 1]
                     reads += 1
                 if news and slack >= 0:
+                    if slack < low:
+                        low = table.fill(slack)
                     below = rows[d - 1]
                     if below is None:  # a new symbol closes the arch: news is 1
                         sums[sigma - 1] += rows[d - 2][slack]

@@ -13,8 +13,9 @@ class _Value:
     """An immutable record whose fields are its __slots__.
 
     Instances of the same class compare and hash by their fields, and repr
-    as Class(field=value, ...). Fields are set once with object.__setattr__;
-    assigning or deleting one afterwards raises AttributeError.
+    as Class(field=value, ...). Fields are set once, by the __set__ of each
+    field's slot descriptor, which a subclass looks up once after its class
+    body; assigning or deleting one afterwards raises AttributeError.
     """
 
     __slots__ = ()
@@ -70,15 +71,15 @@ class Word(_Value):
             for pos, s in enumerate(symbols, 1):
                 if type(s) is not int or not 1 <= s <= sigma:
                     raise SymbolOutOfRange(pos, s)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "sigma", sigma)
+        _set_symbols(self, symbols)
+        _set_sigma(self, sigma)
 
     @classmethod
     def _trusted(cls, symbols: tuple[int, ...], sigma: int) -> "Word":
         """A word whose symbols are in range by construction: skips the O(n) check."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "symbols", symbols)
-        object.__setattr__(w, "sigma", sigma)
+        w = _new(cls)
+        _set_symbols(w, symbols)
+        _set_sigma(w, sigma)
         return w
 
     def __len__(self) -> int:
@@ -93,6 +94,10 @@ class Word(_Value):
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r}, sigma={self.sigma})"
 
+
+_new = object.__new__
+_set_symbols = Word.symbols.__set__
+_set_sigma = Word.sigma.__set__
 
 make_word = Word
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -304,6 +305,29 @@ def test_usage_errors_exit_1(capsys):
     code, out, err = run_cli(capsys, "count", "--n", "4", "--k", "2", "--sigma", "0")
     assert (code, out) == (1, "")
     assert err.endswith("argument --sigma: must be at least 1, got 0\n")
+
+
+def test_parser_adds_arguments_only_to_the_command_it_runs(capsys):
+    parser = cli._build_parser()
+    args = parser.parse_args(["count", "--n", "4", "--k", "2", "--sigma", "2"])
+    assert (args.n, args.k, args.sigma, args.json) == (4, 2, 2, False)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [flag for action in p._actions for flag in action.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert list(flags) == list(cli._COMMANDS)
+    assert flags.pop("count") == ["-h", "--help", "--n", "--k", "--sigma", "--json"]
+    assert all(f == ["-h", "--help"] for f in flags.values())
+    # help and usage errors still see every subcommand and its arguments
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and all(f"    {name}" in out for name in cli._COMMANDS)
+    code, out, _ = run_cli(capsys, "rank", "--help")
+    assert code == 0
+    assert out.startswith("usage: uwords rank [-h] --k K --sigma SIGMA [--json] word\n")
+    code, _, err = run_cli(capsys, "frob")
+    assert code == 1 and "invalid choice: 'frob'" in err
+    assert all(repr(name) in err for name in cli._COMMANDS)
 
 
 def test_parse_error_exits_1(capsys):

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from itertools import islice, product
 from math import factorial
 
@@ -48,7 +49,9 @@ def _completion_count(q, m, c, sigma):
 def _cell(t, q, m, c):
     """The completions after q symbols of an open arch with c arches owed (the
     open one included) and slack m: row d = c*sigma - q, or 0 when c = 0. A
-    row left out of the table (q = 0, sigma >= 2) is sigma*rows[d-1][m]."""
+    row left out of the table (q = 0, sigma >= 2) is sigma*rows[d-1][m]. The
+    table is filled down to slack m first."""
+    t.fill(m)
     d = c * t.sigma - q if c else 0
     row = t.rows[d]
     return t.sigma * t.rows[d - 1][m] if row is None else row[m]
@@ -182,10 +185,15 @@ def test_table_free_count_agrees_on_both_sides_of_the_switch(monkeypatch, k, sig
         assert counting._count_by_poles(n, k, sigma) == expected
 
 
+def _full_chain(n, k, sigma):
+    """The chain over every slack m <= n - k*sigma, as build_table runs it."""
+    return counting._chain(sigma, k, [sigma**m for m in range(n - k * sigma + 1)])
+
+
 def _chain_count(n, k, sigma):
-    """sigma * rows[k*sigma - 1][M] of the chain build_table stores, one row
+    """sigma * rows[k*sigma - 1][M] of the chain build_table runs, one row
     live at a time; it shares no code with the poles or the series."""
-    return sigma * next(islice(counting._chain(n, k, sigma), k * sigma - 1, None))[-1]
+    return sigma * next(islice(_full_chain(n, k, sigma), k * sigma - 1, None))[-1]
 
 
 def _series_count(n, k, sigma):
@@ -327,27 +335,27 @@ def test_every_entry_point_checks_parameters_alike(call, error, message):
     assert str(info.value) == (message or _MESSAGES[error])
 
 
-def _stored_cells(n, k, sigma):
+def _built_cells(n, k, sigma):
     """k*(sigma - 1) + 1 rows, the powers included (at sigma = 1 the one row of
-    ones), over slack m <= n - k*sigma."""
+    ones), over slack m <= n - k*sigma: the cells build_table computes."""
     return (k * (sigma - 1) + 1) * max(n - k * sigma + 1, 0)
 
 
-def test_instrumentation_counters():
-    t = build_table(10, 2, 2)
-    assert t.build_ops == _stored_cells(10, 2, 2) == 3 * 7
-    before = t.lookups
-    count_universal(10, 2, 2, t)
-    assert t.lookups == before + 1
+def _stored_cells(n, k, sigma):
+    """The cells build_table keeps: the power row whole (at sigma = 1 the one
+    row of ones, at k = 0 the only row), and of each of the k*(sigma - 1)
+    other rows its top block of B = ceil(sqrt(M + 1)) slacks and one carry
+    below each lower block, floor(M / B) of them, with M = n - k*sigma."""
+    if n < k * sigma:
+        return 0
+    big_m = n - k * sigma
+    block = next(b for b in range(1, big_m + 2) if b * b >= big_m + 1)
+    return big_m + 1 + k * (sigma - 1) * (block + big_m // block)
 
 
-@pytest.mark.parametrize(
-    "n, k, sigma, stored", [(12, 2, 3, 35), (9, 4, 1, 6), (7, 0, 3, 8), (5, 2, 3, 0)]
-)
-def test_table_stores_each_row_once(n, k, sigma, stored):
-    # every int reachable from the table's list attributes, each list counted
-    # once by id(): a row stored as two copies would be counted twice
-    t = build_table(n, k, sigma)
+def _ints(t):
+    """Every int reachable from the table's list attributes, each list
+    counted once by id(): a row stored as two copies would be counted twice."""
     stack = [getattr(t, name) for name in type(t).__slots__]
     stack = [v for v in stack if isinstance(v, (list, tuple))]
     seen = set()
@@ -360,7 +368,30 @@ def test_table_stores_each_row_once(n, k, sigma, stored):
                 stack.extend(item)
         elif isinstance(item, int):
             cells += 1
-    assert cells == stored == t.build_ops == _stored_cells(n, k, sigma)
+    return cells
+
+
+def test_instrumentation_counters():
+    t = build_table(10, 2, 2)
+    assert t.build_ops == _built_cells(10, 2, 2) == 3 * 7
+    assert _ints(t) == _stored_cells(10, 2, 2) == 7 + 2 * (3 + 2)
+    before = t.lookups
+    count_universal(10, 2, 2, t)
+    assert t.lookups == before + 1
+    t.fill(0)  # fills are neither lookups nor build operations
+    assert (t.lookups, t.build_ops) == (before + 1, 3 * 7)
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma, stored", [(12, 2, 3, 27), (9, 4, 1, 6), (7, 0, 3, 8), (5, 2, 3, 0)]
+)
+def test_table_stores_each_row_once(n, k, sigma, stored):
+    t = build_table(n, k, sigma)
+    assert _ints(t) == stored == _stored_cells(n, k, sigma)
+    assert t.build_ops == _built_cells(n, k, sigma)
+    # filled, the table holds every cell it built, each row once
+    t.fill(0)
+    assert _ints(t) == t.build_ops
 
 
 def _reference_rows(n, k, sigma):
@@ -412,9 +443,101 @@ def test_folded_table_queries_like_the_full_rectangle(n, k, sigma):
     folded = build_table(n, k, sigma)
     assert None not in full.rows
     assert sum(row is None for row in folded.rows) == k
+    assert _ints(folded) == _stored_cells(n, k, sigma) < _built_cells(n, k, sigma)
     expected = _queries(full, random.Random(n + k + sigma))
     assert _queries(folded, random.Random(n + k + sigma)) == expected
     assert full.lookups == folded.lookups
+
+
+def _window_queries(t, deep_first):
+    """rank 0 and the last rank, which read deepest, and random ranks, each
+    unranked and ranked back, then random words and two 5-word slices, on t:
+    each result paired with the cell reads it added to t.lookups."""
+    n, k, sigma = t.n, t.k, t.sigma
+    rng = random.Random(n * k + sigma)
+    total = count_universal(n, k, sigma)
+    ranks = [rng.randrange(total) for _ in range(4)] if total else []
+    if total:
+        ranks = [0, total - 1] + ranks if deep_first else ranks + [0, total - 1]
+    out = []
+    for r in ranks:
+        before = t.lookups
+        w = unrank(r, n, k, sigma, t)
+        out.append((w, t.lookups - before))
+        before = t.lookups
+        assert rank(w, k, t) == RankResult(r, True)
+        out.append(t.lookups - before)
+    for _ in range(4):
+        before = t.lookups
+        out.append((rank(make_word(rng.choices(range(1, sigma + 1), k=n), sigma), k, t),
+                    t.lookups - before))
+    for start in (0, max(total - 5, 0)):
+        before = t.lookups
+        out.append((list(enumerate_words(n, k, sigma, start, 5, t)), t.lookups - before))
+    return out
+
+
+@pytest.mark.parametrize("deep_first", [True, False], ids=["deep-first", "shallow-first"])
+@pytest.mark.parametrize(
+    "n, k, sigma",
+    [(12, 2, 3), (300, 10, 4), (120, 3, 12), (1000, 450, 2), (60, 10, 3), (50, 1, 26),
+     (40, 7, 1), (5, 2, 3)],
+)
+def test_window_fills_only_cells_equal_to_the_reference(n, k, sigma, deep_first):
+    # every cell a query reads is stored (an unfilled one is None and fails
+    # the read), and every stored cell equals the cell recurrence; the reads
+    # are those of a fully filled table
+    t = build_table(n, k, sigma)
+    full = build_table(n, k, sigma)
+    full.fill(0)
+    assert _window_queries(t, deep_first) == _window_queries(full, deep_first)
+    assert t.lookups == full.lookups
+    reference = _reference_rows(n, k, sigma) if n >= k * sigma else []
+    for d, (row, ref) in enumerate(zip(t.rows, reference)):
+        if row is not None:
+            assert [x for x in row if x is not None] == [
+                y for x, y in zip(row, ref) if x is not None
+            ], (n, k, sigma, d)
+    # rank 0 repeats symbol 1 down to slack 0 before its first arch closes
+    assert t.filled == 0
+
+
+@pytest.mark.parametrize("n, k, sigma", [(12, 2, 3), (300, 10, 4), (120, 3, 12), (1000, 450, 2)])
+def test_unfilled_cells_are_none_until_filled(n, k, sigma):
+    t = build_table(n, k, sigma)
+    reference = _reference_rows(n, k, sigma)
+    big_m = n - k * sigma
+    block = next(b for b in range(1, big_m + 2) if b * b >= big_m + 1)
+    assert t.filled == big_m + 1 - block
+    assert t.rows[0] == reference[0]
+    for d in range(1, k * sigma + 1):
+        if d % sigma == 0:
+            assert t.rows[d] is None
+            continue
+        for m, (cell, ref) in enumerate(zip(t.rows[d], reference[d])):
+            kept = m >= t.filled or (big_m - m) % block == 0  # top block or a carry
+            assert cell == (ref if kept else None), (d, m)
+    # each fill reaches the start of the block holding its slack
+    for s in (t.filled - 1, big_m // 2, 1):
+        low = t.fill(s)
+        assert low == t.filled <= s < low + block or low == 0
+        assert (big_m + 1 - low) % block == 0 or low == 0
+    assert t.fill(0) == 0
+    assert t.rows == [None if d and d % sigma == 0 else row for d, row in enumerate(reference)]
+
+
+def test_build_keeps_a_small_window_of_the_readme_table():
+    # the full table of (2000, 20, 10) holds 325,981 cells in 149 MB traced;
+    # the build holds two full rows at a time and keeps about 2*sqrt(M + 1)
+    # cells a row, 14.6 MB traced on CPython 3.11
+    tracemalloc.start()
+    try:
+        t = build_table(2000, 20, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.build_ops == _built_cells(2000, 20, 10) == 325_981
+    assert peak < 20 * 2**20
 
 
 def _row_kind(d, sigma):
@@ -437,7 +560,7 @@ def test_chain_rows_match_the_cell_recurrence():
                 shapes.append((k * sigma - 1, k, sigma))
     kinds = set()
     for n, k, sigma in shapes:
-        rows = list(counting._chain(n, k, sigma))
+        rows = list(_full_chain(n, k, sigma))
         reference = _reference_rows(n, k, sigma)
         assert len(rows) == len(reference) == k * sigma + 1
         for d, (row, ref) in enumerate(zip(rows, reference)):

@@ -22,7 +22,7 @@ from universal_words import (
 )
 from universal_words import counting, unranking
 from universal_words.oracle import brute_enumerate
-from universal_words.unranking import _descend
+from universal_words.unranking import _arch_states, _descend
 
 
 def test_spot_unranks():
@@ -401,11 +401,11 @@ def test_descend_states_hold_exactly_the_prefix(n, k, sigma):
     rng = random.Random(n * k + sigma)
     for r in (0, total - 1, rng.randrange(total), rng.randrange(total)):
         syms = [0] * n
-        states = _descend(t, syms, r)
-        free = len(states) - 1
-        assert states == _reference_states(syms[:free], k, sigma)
-        assert states[-1][0] == 0
-        assert all(d for d, _ in states[:-1])  # they stop where the k-th arch closes
+        free = _descend(t, syms, r)
+        states = _arch_states(syms, free, k, sigma)
+        assert states[: free + 1] == _reference_states(syms[:free], k, sigma)
+        assert states[free:] == [(0, 0)] * (n + 1 - free)
+        assert all(d for d, _ in states[:free])  # the k-th arch closes at free
         assert tuple(syms) == unrank(r, n, k, sigma, t).symbols
 
 
