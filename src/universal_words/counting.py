@@ -94,8 +94,7 @@ by t per coefficient, with an AssertionError on a remainder. One division by
 the simple pole's (1 + s_sigma z), b_t = c_t - s_sigma b_(t - 1), then gives
 b. At sigma = 2 no pole has a k-fold partner, c = 1, and only that division
 runs. The series cost (sigma - 1)(k - 1)(sigma - 2) running-sum updates and
-2 (sigma - 1)(k - 1) steps, about 1,700 at (k, sigma) = (20, 10), where m_l
-divisions by each (1 + s_l z) took sum_i m_i (D - m_i) = 29,160.
+2 (sigma - 1)(k - 1) steps, about 1,700 at (k, sigma) = (20, 10).
 Then A_ij = i**(D - m_i) b_(m_i - j) / (E_i D_i**(m_i - j)), and each pole
 contributes one fraction over E_i D_i**(m_i - 1). The fractions are joined
 over the lcm of their denominators and divided exactly, with an
@@ -161,9 +160,15 @@ class SuffixCountTable:
     Every row holds all cells at slack >= ``filled``; below it only its carry
     cells are stored (see build_table), and every other place holds None, so
     a read there fails loudly. fill(s) lowers ``filled`` to the start of the
-    block that holds slack s; rank and unrank call it before they read below
-    ``filled``. rows[0] is always complete, and so is every row when
-    ``filled`` is 0.
+    block that holds slack s. rank and unrank share one slack rule: the slack
+    is the free symbols left after a new symbol, it falls by one at each
+    repeated symbol, and at slack m they read the repeat count at m - 1 and
+    the new count at m. unrank reads both at every position of an open arch,
+    so it fills at one point, fill(m - 1) where a repeat lowers its slack to
+    m <= ``filled``, and no read checks the window. rank reads only the
+    counts of the symbols below each of its own, so it fills before a read
+    below ``filled``, and no block that it does not read. rows[0] is always
+    complete, and so is every row when ``filled`` is 0.
 
     ``lookups`` counts cell reads, a read of sigma times a cell of the row
     below a left-out row included: the one of count_universal(), the
@@ -201,10 +206,12 @@ class SuffixCountTable:
 
         One forward chain pass over the slacks from there up to ``filled``,
         seeded by each row's carry just below them; the carries it passes are
-        recomputed to the values they hold. Nothing is done when s >= filled.
+        recomputed to the values they hold. An s below 0, which unrank asks
+        for where a repeat lowers its slack to 0, is taken as 0. Nothing is
+        done when s >= filled, and so nothing once filled is 0.
         """
         low = self.filled
-        if s >= low:
+        if max(s, 0) >= low:
             return low
         big_m = self.n - self.k * self.sigma
         block = _block(big_m + 1)

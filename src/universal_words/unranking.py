@@ -9,23 +9,27 @@ from .errors import EmptySet, RankOutOfRange
 from .words import Word
 
 
-def _descend(table: SuffixCountTable, syms: list[int], rem: int) -> int:
-    """Write into syms the k-universal word of rank rem, and return the
-    position j where its free suffix starts, just after the k-th arch closes.
+def _descend(
+    table: SuffixCountTable, syms: list[int], rem: int, states: list[tuple[int, int]]
+) -> None:
+    """Write into syms the k-universal word of rank rem, and append to states
+    the arch state (symbols still owed, open-arch bitset) before each position
+    it fills up to the k-th arch's close, where its free suffix starts.
 
     At each position the completion counts of the candidate symbols are
     accumulated until they exceed rem, and the first symbol to do so is
-    chosen. A candidate either repeats the open arch or is new, and each kind
-    has one count: a new symbol's is one read, and a repeat's a second read
-    only where the open arch is non-empty and a repeat can still complete.
-    Every state visited can still complete (n - j >= d), so the count of a
-    new symbol is always a cell; where that symbol closes an arch its row is
-    left out of the table, and the one read is sigma * rows[d - 2][slack + 1].
-    A repeat's read is the lowest slack read so far, so the table is filled
-    down to it there (SuffixCountTable.fill); a new symbol's read is at a
-    slack that the position before read too, or at the top slack. Once k
-    arches have closed every suffix completes the word, so the rest is the
-    base-sigma digits of what is left of rem, filled in one conversion
+    chosen. The slack is the free symbols left after a new symbol here: it
+    starts at n - k*sigma and falls by one at each repeated symbol, as in
+    rank(). A candidate either repeats the open arch or is new, and each kind
+    has one count: a new symbol's is rows[d - 1][slack], or
+    sigma * rows[d - 2][slack] where it closes an arch and row d - 1 is left
+    out of the table; a repeat's is rows[d][slack - 1], read only where the
+    open arch is non-empty and slack is left. Every state visited can still
+    complete, so the slack never falls below 0. The window is filled where a
+    repeat lowers the slack, down to the repeat count that the next position
+    reads (SuffixCountTable.fill), so no read checks it. Once k arches have
+    closed every suffix completes the word, so the rest is the base-sigma
+    digits of what is left of rem, filled in one conversion
     (counting.free_suffix, its powers read through table.power). Only the
     first word of a cursor, and so unrank(), descends; the successors that
     follow read no cell.
@@ -35,19 +39,15 @@ def _descend(table: SuffixCountTable, syms: list[int], rem: int) -> int:
     low = table.filled
     candidates = range(1, sigma + 1)
     reads = 0
-    j = 0
     d, mask = table.k * sigma, 0
+    slack = n - d
+    j = 0
     while d:
-        slack = n - j - 1 - d  # slack after a repeated symbol
+        states.append((d, mask))
         below = rows[d - 1]
-        if below is None:  # a new symbol closes the arch
-            new_count = sigma * rows[d - 2][slack + 1]
-        else:
-            new_count = below[slack + 1]
-        if mask and slack >= 0:
-            if slack < low:
-                low = table.fill(slack)
-            rep_count = rows[d][slack]
+        new_count = sigma * rows[d - 2][slack] if below is None else below[slack]
+        if mask and slack:
+            rep_count = rows[d][slack - 1]
             reads += 2
         else:  # no symbol repeats, or a repeat cannot complete
             rep_count = 0
@@ -64,28 +64,16 @@ def _descend(table: SuffixCountTable, syms: list[int], rem: int) -> int:
         else:
             raise AssertionError("rank exhausted before the word was complete")
         syms[j] = x
-        if not mask >> x & 1:
+        if mask >> x & 1:
+            slack -= 1
+            if slack <= low:
+                low = table.fill(slack - 1)
+        else:
             d -= 1
             mask = 0 if d % sigma == 0 else mask | 1 << x
         j += 1
     table.lookups += reads
     syms[j:] = free_suffix(rem, n - j, sigma, table.power)
-    return j
-
-
-def _arch_states(syms: list[int], j: int, k: int, sigma: int) -> list[tuple[int, int]]:
-    """states[i], the arch state after syms[:i], for i = 0..n: (symbols still
-    owed, open-arch bitset), in one pass over the arches syms[:j]; from the
-    free suffix's start j on every state is (0, 0)."""
-    states = [(0, 0)] * (len(syms) + 1)
-    d, mask = k * sigma, 0
-    for i in range(j):
-        states[i] = (d, mask)
-        x = syms[i]
-        if not mask >> x & 1:
-            d -= 1
-            mask = 0 if d % sigma == 0 else mask | 1 << x
-    return states
 
 
 def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
@@ -113,26 +101,25 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
 def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     """The k-universal words of ranks r..stop-1, r < stop, smallest first.
 
-    The first word is unranked by _descend, which returns where its free
-    suffix starts; unrank() takes only this word. When a second word is
-    asked for, the arch state after each position is worked out from the
-    first word in one pass (_arch_states), and each successor is found from
-    the states alone, reading no table cell. A prefix owing d symbols at
-    position p completes iff n - p >= d, so the rightmost position p that can
-    take a larger symbol is bumped to the next symbol while n - p > d, and to
-    the next symbol new to the open arch when n - p == d. Every later
-    position then takes the smallest symbol that fits: 1 while a free slot
-    remains, else the smallest new symbol, and all 1s once k arches have
-    closed. The scan for p sets each position it passes to 1, so only where
-    p lies in the arches is anything refilled.
+    The first word is unranked by _descend, which records the arch state
+    before each position of its arches; unrank() takes only this word. When
+    a second word is asked for, the states are padded with (0, 0), the state
+    of every position from the free suffix's start on, and each successor is
+    found from the states alone, reading no table cell. A prefix owing d
+    symbols at position p completes iff n - p >= d, so the rightmost
+    position p that can take a larger symbol is bumped to the next symbol
+    while n - p > d, and to the next symbol new to the open arch when
+    n - p == d. Every later position then takes the smallest symbol that
+    fits: 1 while a free slot remains, else the smallest new symbol, and all
+    1s once k arches have closed. The scan for p sets each position it
+    passes to 1, so only where p lies in the arches is anything refilled.
     """
     n, sigma = table.n, table.sigma
     syms = [0] * n
-    j = _descend(table, syms, r)
+    states = []
+    _descend(table, syms, r, states)
     yield Word._trusted(tuple(syms), sigma)
-    if stop == r + 1:
-        return
-    states = _arch_states(syms, j, table.k, sigma)
+    states += [(0, 0)] * (n + 1 - len(states))
     for _ in range(r + 1, stop):
         for p in range(n - 1, -1, -1):
             if syms[p] < sigma:  # tested first: a run of sigmas reads no state

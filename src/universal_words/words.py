@@ -108,7 +108,8 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 class _Texts(dict):
     """Symbol -> its decimal text, filled on first sight, so it never holds
-    more entries than distinct symbols formatted."""
+    more entries than distinct symbols formatted. A symbol's text does not
+    depend on sigma, so one cache serves every alphabet."""
 
     __slots__ = ()
 
@@ -117,18 +118,14 @@ class _Texts(dict):
         return text
 
 
-@lru_cache(maxsize=32)
-def _texts(sigma: int) -> _Texts:
-    """The symbol texts of one alphabet, so that a cache never outgrows sigma."""
-    return _Texts()
+_texts = _Texts()
 
 
 def format_word(w: Word) -> str:
     """Canonical text: concatenated digits (sigma <= 9) or comma-separated numbers."""
-    sigma = w.sigma
-    if sigma <= 9:
+    if w.sigma <= 9:
         return bytes(w.symbols).translate(_DIGITS).decode()
-    return ",".join(map(_texts(sigma).__getitem__, w.symbols))
+    return ",".join(map(_texts.__getitem__, w.symbols))
 
 
 class _Tokens(dict):

@@ -451,8 +451,9 @@ def test_folded_table_queries_like_the_full_rectangle(n, k, sigma):
 
 def _window_queries(t, deep_first):
     """rank 0 and the last rank, which read deepest, and random ranks, each
-    unranked and ranked back, then random words and two 5-word slices, on t:
-    each result paired with the cell reads it added to t.lookups."""
+    unranked and ranked back, then random words, two 5-word slices and
+    20-word cursors from rank 0, the last rank and a random rank, on t: each
+    result paired with the cell reads it added to t.lookups."""
     n, k, sigma = t.n, t.k, t.sigma
     rng = random.Random(n * k + sigma)
     total = count_universal(n, k, sigma)
@@ -471,9 +472,10 @@ def _window_queries(t, deep_first):
         before = t.lookups
         out.append((rank(make_word(rng.choices(range(1, sigma + 1), k=n), sigma), k, t),
                     t.lookups - before))
-    for start in (0, max(total - 5, 0)):
+    starts = [0, total - 1, rng.randrange(total)] if total else []
+    for start, limit in [(0, 5), (max(total - 5, 0), 5)] + [(r, 20) for r in starts]:
         before = t.lookups
-        out.append((list(enumerate_words(n, k, sigma, start, 5, t)), t.lookups - before))
+        out.append((list(enumerate_words(n, k, sigma, start, limit, t)), t.lookups - before))
     return out
 
 
@@ -502,6 +504,83 @@ def test_window_fills_only_cells_equal_to_the_reference(n, k, sigma, deep_first)
     assert t.filled == 0
 
 
+@pytest.mark.parametrize(
+    "n, k, sigma",
+    [(12, 2, 3), (300, 10, 4), (120, 3, 12), (1000, 450, 2), (60, 10, 3), (50, 1, 26)],
+)
+def test_each_query_fills_down_to_the_block_of_its_lowest_read_and_no_further(
+    n, k, sigma, monkeypatch
+):
+    # after a query, filled is what fill() of the lowest slack it read gives
+    # on a twin table: no block is filled that the query does not read. Each
+    # query runs on a fresh table and, in turn, on one shared table
+    seen = []
+
+    class Row(list):
+        def __getitem__(self, i):
+            if type(i) is int:  # count_universal reads the top cell as [-1]
+                seen.append(i % len(self))
+            return list.__getitem__(self, i)
+
+    def unseen(method):  # the carries that fill reads and the power row reads
+        def call(self, *args):
+            mark = len(seen)
+            try:
+                return method(self, *args)
+            finally:
+                del seen[mark:]
+
+        return call
+
+    table_class = counting.SuffixCountTable
+    for name in ("fill", "power"):
+        monkeypatch.setattr(table_class, name, unseen(getattr(table_class, name)))
+
+    def tables():
+        t = build_table(n, k, sigma)
+        t.rows[:] = [row if row is None else Row(row) for row in t.rows]
+        return t, build_table(n, k, sigma)
+
+    def run(query, t, twin):
+        del seen[:]
+        query(t)
+        if seen:
+            twin.fill(min(seen))
+        assert t.filled == twin.filled
+        return t.filled
+
+    ref = build_table(n, k, sigma)
+    big_m, top = n - k * sigma, ref.filled
+    below = ref.fill(top - 1)  # the next block start
+    # members whose repeats lower the slack to exactly a block start m, so
+    # that the next position reads the repeat count at m - 1, a block lower
+    arches = list(range(2, sigma + 1)) + list(range(1, sigma + 1)) * (k - 1)
+    edges = [[1] * (big_m - m + 1) + arches + [1] * m for m in (top, below)]
+    edge_ranks = [rank(make_word(w, sigma), k, ref).rank for w in edges]
+    total = count_universal(n, k, sigma)
+    rng = random.Random(n - k + sigma)
+    ranks = edge_ranks + [rng.randrange(total) for _ in range(4)] + [total - 1, 0]
+    words = [unrank(r, n, k, sigma, ref) for r in ranks]
+    words += [make_word(rng.choices(range(1, sigma + 1), k=n), sigma) for _ in range(4)]
+    ones = make_word([1] * n, sigma)
+    queries = [lambda t: rank(ones, k, t)]
+    queries += [lambda t, r=r: unrank(r, n, k, sigma, t) for r in ranks]
+    queries += [lambda t, w=w: rank(w, k, t) for w in words]
+    queries += [
+        lambda t, start=start: list(enumerate_words(n, k, sigma, start, 20, t))
+        for start in (edge_ranks[0], rng.randrange(total), total - 20)
+    ]
+    fresh = [run(query, *tables()) for query in queries]
+    assert fresh[0] == top  # rank reads no cell of 1...1
+    # the first edge member, unranked and then ranked, reads one block down;
+    # the second one block further
+    assert fresh[1] == fresh[1 + len(ranks)] == below and fresh[2] < below
+    shared = tables()
+    for query in queries:
+        run(query, *shared)
+    assert shared[0].filled == 0  # rank 0 repeats symbol 1 down to slack 0
+
+
 @pytest.mark.parametrize("n, k, sigma", [(12, 2, 3), (300, 10, 4), (120, 3, 12), (1000, 450, 2)])
 def test_unfilled_cells_are_none_until_filled(n, k, sigma):
     t = build_table(n, k, sigma)
@@ -524,6 +603,25 @@ def test_unfilled_cells_are_none_until_filled(n, k, sigma):
         assert (big_m + 1 - low) % block == 0 or low == 0
     assert t.fill(0) == 0
     assert t.rows == [None if d and d % sigma == 0 else row for d, row in enumerate(reference)]
+
+
+@pytest.mark.parametrize("n, k, sigma", [(12, 2, 3), (300, 10, 4), (1000, 450, 2), (40, 7, 1)])
+def test_fill_below_slack_zero_is_fill_zero_and_a_full_table_runs_no_chain(
+    n, k, sigma, monkeypatch
+):
+    # a repeat that lowers the slack to 0 fills down to slack -1
+    t, u = build_table(n, k, sigma), build_table(n, k, sigma)
+    assert t.fill(-1) == u.fill(0) == 0
+    assert t.rows == u.rows and t.filled == u.filled == 0
+
+    def no_chain(*args):
+        raise AssertionError("a fill of a full table ran the chain")
+
+    monkeypatch.setattr(counting, "_chain", no_chain)
+    rows = [row if row is None else list(row) for row in t.rows]
+    for s in (-1, 0, 1, n - k * sigma):
+        assert t.fill(s) == 0
+    assert t.rows == rows
 
 
 def test_build_keeps_a_small_window_of_the_readme_table():

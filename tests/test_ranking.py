@@ -216,3 +216,86 @@ def test_rank_allocates_nothing_per_symbol_where_it_reads_no_cell():
         finally:
             tracemalloc.stop()
         assert peak < 100_000, (syms, k, peak)
+
+
+def _stop(symbols, k, sigma):
+    """Where rank stops on a non-member: the first repeated symbol that meets
+    slack 0, from the word's arch sets alone; None when k arches close first."""
+    n = len(symbols)
+    owed, arch = k * sigma, set()
+    for i, s in enumerate(symbols):
+        if not owed:
+            return None
+        if s in arch:
+            if n - i - owed == 0:
+                return i
+        else:
+            owed -= 1
+            arch.add(s)
+            if len(arch) == sigma:
+                arch = set()
+    return None
+
+
+def _runs_out_at(n, k, sigma, p, rng):
+    """A random word that spends its n - k*sigma repeats before position p and
+    repeats a symbol of the open arch at p, where no slack is left. p - (n -
+    k*sigma) new symbols precede p, fewer than k*sigma and not a multiple of
+    sigma, so an arch is open there; the symbols after p are random."""
+    repeats, news = n - k * sigma, p - (n - k * sigma)
+    assert 0 < news < k * sigma and news % sigma
+    arch, syms = set(), []
+    for _ in range(p):
+        if arch and rng.randrange(repeats + news) < repeats:
+            syms.append(rng.choice(sorted(arch)))
+            repeats -= 1
+            continue
+        x = rng.choice([x for x in range(1, sigma + 1) if x not in arch])
+        syms.append(x)
+        news -= 1
+        arch.add(x)
+        if len(arch) == sigma:
+            arch = set()
+    syms.append(rng.choice(sorted(arch)))
+    return syms + rng.choices(range(1, sigma + 1), k=n - p - 1)
+
+
+@pytest.mark.parametrize(
+    "n, k, sigma, brute",
+    [(1000, 450, 2, 1), (60, 10, 3, None), (120, 3, 12, 0), (12, 2, 3, None)],
+)
+def test_non_member_rank_depends_only_on_the_prefix_up_to_its_stop(n, k, sigma, brute):
+    # rank stops at the first repeated symbol that meets slack 0: no word with
+    # that prefix completes, so whatever follows changes neither the rank nor
+    # the reads. brute_state_rank checks every word here, or only `brute` of
+    # them where one walk takes seconds (4 s each at (120, 3, 12))
+    rng = random.Random(f"stop-{n}-{k}-{sigma}")
+    table = build_table(n, k, sigma)
+    total = count_universal(n, k, sigma, table)
+    big_m = n - k * sigma
+    owed = [t for t in range(1, k * sigma) if t % sigma]
+    words = [rng.choices(range(1, sigma + 1), k=n) for _ in range(4)]
+    words += [_runs_out_at(n, k, sigma, big_m + t, rng) for t in (owed[0], owed[-1])]
+    words += [_runs_out_at(n, k, sigma, big_m + t, rng) for t in rng.sample(owed, 3)]
+    stopped = 0
+    for syms in words:
+        stop = _stop(syms, k, sigma)
+        if stop is None:
+            continue
+        stopped += 1
+        seen = []
+        for tail in (syms[stop + 1 :], [1] * (n - stop - 1), [sigma] * (n - stop - 1)):
+            w = make_word(syms[: stop + 1] + tail, sigma)
+            before = table.lookups
+            seen.append((rank(w, k, table), table.lookups - before))
+        assert seen[0] == seen[1] == seen[2], (syms, stop)
+        res = seen[0][0]
+        assert not res.member
+        # the insertion point: every member below the rank is smaller
+        if res.rank:
+            assert unrank(res.rank - 1, n, k, sigma, table).symbols < tuple(syms)
+        if res.rank < total:
+            assert unrank(res.rank, n, k, sigma, table).symbols > tuple(syms)
+        if brute is None or stopped <= brute:
+            assert res.rank == brute_state_rank(tuple(syms), k, sigma)
+    assert stopped >= 5

@@ -22,7 +22,7 @@ from universal_words import (
 )
 from universal_words import counting, unranking
 from universal_words.oracle import brute_enumerate
-from universal_words.unranking import _arch_states, _descend
+from universal_words.unranking import _descend
 
 
 def test_spot_unranks():
@@ -377,7 +377,7 @@ def test_first_symbol_changes_at_each_block_boundary(n, k, sigma):
             assert w.symbols[0] == first
             assert rank(w, k, t) == RankResult(r, True)
     with pytest.raises(AssertionError):
-        _descend(t, [0] * n, total)
+        _descend(t, [0] * n, total, [])
 
 
 def _reference_states(symbols, k, sigma):
@@ -401,11 +401,12 @@ def test_descend_states_hold_exactly_the_prefix(n, k, sigma):
     rng = random.Random(n * k + sigma)
     for r in (0, total - 1, rng.randrange(total), rng.randrange(total)):
         syms = [0] * n
-        free = _descend(t, syms, r)
-        states = _arch_states(syms, free, k, sigma)
-        assert states[: free + 1] == _reference_states(syms[:free], k, sigma)
-        assert states[free:] == [(0, 0)] * (n + 1 - free)
-        assert all(d for d, _ in states[:free])  # the k-th arch closes at free
+        states = []
+        _descend(t, syms, r, states)
+        reference = _reference_states(syms, k, sigma)
+        free = next(i for i, (d, _) in enumerate(reference) if d == 0)
+        assert states == reference[:free]
+        assert all(d for d, _ in states)  # the k-th arch closes at free
         assert tuple(syms) == unrank(r, n, k, sigma, t).symbols
 
 
