@@ -252,29 +252,15 @@ _COMMANDS = {
 }
 
 
-class _Command(_Parser):
-    """One subcommand's parser. It adds its arguments when it first parses,
-    so a run builds the arguments of the one command it runs, while every
-    subcommand still exists for --help and for invalid-choice errors."""
-
-    def __init__(self, names=(), **kwargs):
-        super().__init__(**kwargs)
-        # in _ARGUMENTS order, the order --help lists them in
-        self._pending = [name for name in _ARGUMENTS if name in names or name == "json"]
-
-    def parse_known_args(self, args=None, namespace=None):
-        for name in self._pending:
-            flag, spec = _ARGUMENTS[name]
-            self.add_argument(flag, **spec)
-        self._pending = ()
-        return super().parse_known_args(args, namespace)
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="uwords", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, names) in _COMMANDS.items():
-        sub.add_parser(command, help=help_text, names=names)
+        command_parser = sub.add_parser(command, help=help_text)
+        # in _ARGUMENTS order, the order --help lists them in
+        for name, (flag, spec) in _ARGUMENTS.items():
+            if name in names or name == "json":
+                command_parser.add_argument(flag, **spec)
     return parser
 
 

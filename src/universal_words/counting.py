@@ -128,7 +128,7 @@ from itertools import accumulate, repeat
 from math import factorial, isqrt, lcm
 from operator import mul
 
-from .errors import AlphabetMismatch, InvalidK, LengthMismatch
+from .errors import AlphabetMismatch, InvalidK, LengthMismatch, _int_text
 
 # The free-suffix conversions split segments longer than a leaf. A leaf of
 # the split is written by one format() in base sigma, digit c being symbol
@@ -225,34 +225,22 @@ class SuffixCountTable:
         return lo
 
 
-def free_suffix(x: int, length: int, sigma: int, power: Callable[[int], int]) -> list[int]:
-    """The free suffix of rank x among all sigma**length words: symbol j is
-    base-sigma digit j of x (most significant first) plus one. power(h)
-    returns sigma**h.
-
-    For sigma in {2, 8, 10, 16} each leaf of the split, up to _C_LEAF = 512
-    symbols, is written in C by format(), as the join reads its leaves by
-    int() for 2 <= sigma <= 36; other alphabets split down to _LEAF = 32
-    symbols and convert those one symbol at a time.
-    Raises AssertionError when x >= sigma**length."""
-    out = [0] * length
-    _split(x, out, 0, length, sigma, power)
-    return out
-
-
-def free_rank(syms: Sequence[int], start: int, sigma: int, power: Callable[[int], int]) -> int:
-    """Rank of the free suffix syms[start:] among all words of its length:
-    the base-sigma number whose digits are its symbols minus one. power(h)
-    returns sigma**h."""
-    return _join(syms, start, len(syms), sigma, power)
-
-
 # Divide-and-conquer radix conversion (Knuth, TAOCP Vol. 2, 4.4): halves are
 # split and joined by sigma**h, so the big-integer work is a few wide
 # divisions or products rather than one full-width step per symbol.
-def _split(
+def free_suffix(
     x: int, out: list[int], lo: int, hi: int, sigma: int, power: Callable[[int], int]
 ) -> None:
+    """Write into out[lo:hi] the free suffix of rank x among all
+    sigma**(hi - lo) words: symbol j is base-sigma digit j of x (most
+    significant first) plus one. power(h) returns sigma**h. No other place
+    of out is written.
+
+    For sigma in {2, 8, 10, 16} each leaf of the split, up to _C_LEAF = 512
+    symbols, is written in C by format(), as free_rank reads its leaves by
+    int() for 2 <= sigma <= 36; other alphabets split down to _LEAF = 32
+    symbols and convert those one symbol at a time.
+    Raises AssertionError when x >= sigma**(hi - lo)."""
     width = hi - lo
     code = _FORMAT_CODE.get(sigma)
     if width <= (_C_LEAF if code else _LEAF):
@@ -270,11 +258,16 @@ def _split(
         return
     mid = (lo + hi) // 2
     high, low = divmod(x, power(hi - mid))
-    _split(high, out, lo, mid, sigma, power)
-    _split(low, out, mid, hi, sigma, power)
+    free_suffix(high, out, lo, mid, sigma, power)
+    free_suffix(low, out, mid, hi, sigma, power)
 
 
-def _join(syms: Sequence[int], lo: int, hi: int, sigma: int, power: Callable[[int], int]) -> int:
+def free_rank(
+    syms: Sequence[int], lo: int, hi: int, sigma: int, power: Callable[[int], int]
+) -> int:
+    """Rank of the free suffix syms[lo:hi] among all words of its length:
+    the base-sigma number whose digits are its symbols minus one. power(h)
+    returns sigma**h. No other place of syms is read."""
     by_int = 2 <= sigma <= 36
     if hi - lo <= (_C_LEAF if by_int else _LEAF):
         if by_int and lo < hi:
@@ -284,8 +277,8 @@ def _join(syms: Sequence[int], lo: int, hi: int, sigma: int, power: Callable[[in
             x = x * sigma + syms[j] - 1
         return x
     mid = (lo + hi) // 2
-    high = _join(syms, lo, mid, sigma, power)
-    return high * power(hi - mid) + _join(syms, mid, hi, sigma, power)
+    high = free_rank(syms, lo, mid, sigma, power)
+    return high * power(hi - mid) + free_rank(syms, mid, hi, sigma, power)
 
 
 def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> None:
@@ -302,20 +295,22 @@ def _check_params(n: int, k: int, sigma: int, table: SuffixCountTable | None = N
         raise AlphabetMismatch(f"sigma must be an int, got {sigma!r}")
     if table is not None:
         if k != table.k:
-            raise InvalidK(f"table built for k={table.k}, queried with k={k}")
+            raise InvalidK(f"table built for k={table.k}, queried with k={_int_text(k)}")
         if n != table.n:
-            raise LengthMismatch(f"table built for length {table.n}, queried with length {n}")
+            raise LengthMismatch(
+                f"table built for length {table.n}, queried with length {_int_text(n)}"
+            )
         if sigma != table.sigma:
             raise AlphabetMismatch(
-                f"table built for sigma={table.sigma}, queried with sigma={sigma}"
+                f"table built for sigma={table.sigma}, queried with sigma={_int_text(sigma)}"
             )
         return
     if k < 0:
-        raise InvalidK(f"k must be nonnegative, got {k}")
+        raise InvalidK(f"k must be nonnegative, got {_int_text(k)}")
     if n < 0:
-        raise LengthMismatch(f"length n must be nonnegative, got {n}")
+        raise LengthMismatch(f"length n must be nonnegative, got {_int_text(n)}")
     if sigma < 1:
-        raise AlphabetMismatch(f"sigma must be at least 1, got {sigma}")
+        raise AlphabetMismatch(f"sigma must be at least 1, got {_int_text(sigma)}")
 
 
 def _block(width: int) -> int:

@@ -1,6 +1,16 @@
 """Exception types shared across the package."""
 
 
+def _int_text(value: int) -> str:
+    """str(value), or its sign and bit length, such as <66439-bit int>, where
+    str() would exceed the interpreter's int/str digit limit: a message that
+    holds a huge int then still raises the error it belongs to."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{'-' if value < 0 else ''}{value.bit_length()}-bit int>"
+
+
 class UniversalWordsError(Exception):
     """Base class for every error raised by this package."""
 
@@ -9,7 +19,9 @@ class SymbolOutOfRange(UniversalWordsError, ValueError):
     """A symbol lies outside the alphabet range [1, sigma]."""
 
     def __init__(self, position: int, value: int):
-        super().__init__(f"symbol {value} at position {position} is not in the alphabet")
+        super().__init__(
+            f"symbol {_int_text(value)} at position {position} is not in the alphabet"
+        )
         self.position = position
         self.value = value
 
@@ -38,7 +50,7 @@ class RankOutOfRange(UniversalWordsError, ValueError):
     """A rank does not address any word of the target set."""
 
     def __init__(self, rank: int, set_size: int):
-        super().__init__(f"rank {rank} out of range (set size {set_size})")
+        super().__init__(f"rank {_int_text(rank)} out of range (set size {_int_text(set_size)})")
         self.rank = rank
         self.set_size = set_size
 

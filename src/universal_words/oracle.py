@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .counting import _check_params
-from .errors import GuardExceeded
+from .errors import GuardExceeded, _int_text
 from .words import Word
 
 CHECK_GUARD = 10**6  # ceiling on sigma**k for one universality check
@@ -54,9 +54,9 @@ def brute_enumerate(n: int, k: int, sigma: int) -> list[Word]:
     """All k-universal words of length n, in lexicographic order."""
     _check_params(n, k, sigma)
     if sigma**n > ENUM_GUARD:
-        raise GuardExceeded(f"sigma**n = {sigma**n} exceeds the guard {ENUM_GUARD}")
+        raise GuardExceeded(f"sigma**n = {_int_text(sigma**n)} exceeds the guard {ENUM_GUARD}")
     if sigma**k > CHECK_GUARD:
-        raise GuardExceeded(f"sigma**k = {sigma**k} exceeds the guard {CHECK_GUARD}")
+        raise GuardExceeded(f"sigma**k = {_int_text(sigma**k)} exceeds the guard {CHECK_GUARD}")
     full = (2 << sigma) - 2  # bits 1..sigma
     members = []
     for tup in product(range(1, sigma + 1), repeat=n):

@@ -20,9 +20,10 @@ holds sigma - 1 symbols, so exactly one symbol is new. Those reads go to the
 closing sum, S_sigma, whose multiplier is sigma. Once k arches have
 closed the word is a member whatever follows, and the rest of it is a free
 suffix: its completions are counted in one base-sigma conversion,
-counting.free_rank, which reads O((n - i) / 512) powers for 2 <= sigma <= 36
-and O((n - i) / 32) otherwise, each through table.power. A word shorter than
-k*sigma reads no cell, and its walk is skipped.
+counting.free_rank(syms, i, n, sigma, table.power), which reads only
+syms[i:n] and O((n - i) / 512) powers for 2 <= sigma <= 36, O((n - i) / 32)
+otherwise, each through table.power. A word shorter than k*sigma reads no
+cell, and its walk is skipped.
 Words that are not members get the rank they would receive on insertion. The
 scan of such a word stops at its first repeated symbol that meets slack 0:
 no word with that prefix completes, so nothing after it adds to the rank.
@@ -110,5 +111,5 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     table.lookups += reads
     # once k arches have closed, the last `slack` symbols are a free suffix
     if not d and slack:
-        total += free_rank(syms, n - slack, sigma, table.power)
+        total += free_rank(syms, n - slack, n, sigma, table.power)
     return RankResult(total, not d)

@@ -5,16 +5,17 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .counting import SuffixCountTable, build_table, count_universal, free_suffix
-from .errors import EmptySet, RankOutOfRange
+from .errors import EmptySet, RankOutOfRange, _int_text
 from .words import Word
 
 
 def _descend(
     table: SuffixCountTable, syms: list[int], rem: int, states: list[tuple[int, int]]
 ) -> None:
-    """Write into syms the k-universal word of rank rem, and append to states
-    the arch state (symbols still owed, open-arch bitset) before each position
-    it fills up to the k-th arch's close, where its free suffix starts.
+    """Write into syms[0:n] the k-universal word of rank rem, and into
+    states[j] the arch state (symbols still owed, open-arch bitset) before
+    each position j that it fills up to the k-th arch's close, where its
+    free suffix starts. No other place of states is written.
 
     At each position the completion counts of the candidate symbols are
     accumulated until they exceed rem, and the first symbol to do so is
@@ -28,11 +29,11 @@ def _descend(
     complete, so the slack never falls below 0. The window is filled where a
     repeat lowers the slack, down to the repeat count that the next position
     reads (SuffixCountTable.fill), so no read checks it. Once k arches have
-    closed every suffix completes the word, so the rest is the base-sigma
-    digits of what is left of rem, filled in one conversion
-    (counting.free_suffix, its powers read through table.power). Only the
-    first word of a cursor, and so unrank(), descends; the successors that
-    follow read no cell.
+    closed every suffix completes the word, so the rest, syms[j:n], is the
+    base-sigma digits of what is left of rem, written in place by one
+    conversion (counting.free_suffix, its powers read through table.power).
+    Only the first word of a cursor, and so unrank(), descends; the
+    successors that follow read no cell.
     """
     n, sigma = table.n, table.sigma
     rows = table.rows
@@ -43,7 +44,7 @@ def _descend(
     slack = n - d
     j = 0
     while d:
-        states.append((d, mask))
+        states[j] = (d, mask)
         below = rows[d - 1]
         new_count = sigma * rows[d - 2][slack] if below is None else below[slack]
         if mask and slack:
@@ -73,7 +74,7 @@ def _descend(
             mask = 0 if d % sigma == 0 else mask | 1 << x
         j += 1
     table.lookups += reads
-    syms[j:] = free_suffix(rem, n - j, sigma, table.power)
+    free_suffix(rem, syms, j, n, sigma, table.power)
 
 
 def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = None) -> Word:
@@ -92,7 +93,10 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
     if type(r) is not int or r < 0:
         raise RankOutOfRange(r, total)
     if total == 0:
-        raise EmptySet(f"no {k}-universal words of length {n} over {sigma} symbols")
+        raise EmptySet(
+            f"no {_int_text(k)}-universal words of length {_int_text(n)}"
+            f" over {_int_text(sigma)} symbols"
+        )
     if r >= total:
         raise RankOutOfRange(r, total)
     return next(_stream(table or build_table(n, k, sigma), r, r + 1))
@@ -101,25 +105,26 @@ def unrank(r: int, n: int, k: int, sigma: int, table: SuffixCountTable | None = 
 def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     """The k-universal words of ranks r..stop-1, r < stop, smallest first.
 
-    The first word is unranked by _descend, which records the arch state
-    before each position of its arches; unrank() takes only this word. When
-    a second word is asked for, the states are padded with (0, 0), the state
-    of every position from the free suffix's start on, and each successor is
-    found from the states alone, reading no table cell. A prefix owing d
-    symbols at position p completes iff n - p >= d, so the rightmost
-    position p that can take a larger symbol is bumped to the next symbol
-    while n - p > d, and to the next symbol new to the open arch when
-    n - p == d. Every later position then takes the smallest symbol that
-    fits: 1 while a free slot remains, else the smallest new symbol, and all
-    1s once k arches have closed. The scan for p sets each position it
-    passes to 1, so only where p lies in the arches is anything refilled.
+    syms and states = [(0, 0)] * (n + 1) are allocated once. The first word
+    is unranked by _descend(table, syms, r, states), which writes the arch
+    state before each position of its arches; every later place keeps
+    (0, 0), the state of every position from the free suffix's start on.
+    unrank() takes only this word. Each successor is found from the states
+    alone, reading no table cell. A prefix owing d symbols at position p
+    completes iff n - p >= d, so the rightmost position p that can take a
+    larger symbol is bumped to the next symbol while n - p > d, and to the
+    next symbol new to the open arch when n - p == d. Every later position
+    then takes the smallest symbol that fits: 1 while a free slot remains,
+    else the smallest new symbol, and all 1s once k arches have closed. The
+    scan for p sets each position it passes to 1, so only where p lies in
+    the arches is anything refilled, and the refill resets the states where
+    the old arches ran on.
     """
     n, sigma = table.n, table.sigma
     syms = [0] * n
-    states = []
+    states = [(0, 0)] * (n + 1)
     _descend(table, syms, r, states)
     yield Word._trusted(tuple(syms), sigma)
-    states += [(0, 0)] * (n + 1 - len(states))
     for _ in range(r + 1, stop):
         for p in range(n - 1, -1, -1):
             if syms[p] < sigma:  # tested first: a run of sigmas reads no state

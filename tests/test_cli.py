@@ -307,18 +307,27 @@ def test_usage_errors_exit_1(capsys):
     assert err.endswith("argument --sigma: must be at least 1, got 0\n")
 
 
-def test_parser_adds_arguments_only_to_the_command_it_runs(capsys):
+def test_parser_gives_each_command_its_arguments(capsys):
     parser = cli._build_parser()
     args = parser.parse_args(["count", "--n", "4", "--k", "2", "--sigma", "2"])
     assert (args.n, args.k, args.sigma, args.json) == (4, 2, 2, False)
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # each command's flags, positionals by name, in the order --help lists them
     flags = {
-        name: [flag for action in p._actions for flag in action.option_strings]
+        name: [flag for action in p._actions for flag in action.option_strings or [action.dest]]
         for name, p in sub.choices.items()
     }
+    nks = ["--n", "--k", "--sigma"]
+    assert flags == {
+        "count": ["-h", "--help", *nks, "--json"],
+        "rank": ["-h", "--help", "--k", "--sigma", "word", "--json"],
+        "unrank": ["-h", "--help", *nks, "rank", "--json"],
+        "enum": ["-h", "--help", *nks, "--json", "--from", "--limit"],
+        "arch": ["-h", "--help", "--sigma", "word", "--json"],
+        "verify": ["-h", "--help", *nks, "--json"],
+        "closed-forms": ["-h", "--help", "--n", "--sigma", "--json"],
+    }
     assert list(flags) == list(cli._COMMANDS)
-    assert flags.pop("count") == ["-h", "--help", "--n", "--k", "--sigma", "--json"]
-    assert all(f == ["-h", "--help"] for f in flags.values())
     # help and usage errors still see every subcommand and its arguments
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and all(f"    {name}" in out for name in cli._COMMANDS)

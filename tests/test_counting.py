@@ -9,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from universal_words import (
     AlphabetMismatch,
+    EmptySet,
+    GuardExceeded,
     InvalidK,
     LengthMismatch,
+    RankOutOfRange,
     RankResult,
+    SymbolOutOfRange,
     Word,
     build_table,
     count_universal,
@@ -333,6 +337,58 @@ def test_every_entry_point_checks_parameters_alike(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == (message or _MESSAGES[error])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # the set size has 20,000 digits
+        (
+            lambda: unrank(-1, 20000, 1, 10),
+            RankOutOfRange,
+            "rank -1 out of range (set size <66439-bit int>)",
+        ),
+        (
+            lambda: make_word([1, 10**5000], 3),
+            SymbolOutOfRange,
+            "symbol <16610-bit int> at position 2 is not in the alphabet",
+        ),
+        (
+            lambda: count_universal(5, -(10**5000), 2),
+            InvalidK,
+            "k must be nonnegative, got <-16610-bit int>",
+        ),
+        (
+            lambda: unrank(0, 5, 10**5000, 2),
+            EmptySet,
+            "no <16610-bit int>-universal words of length 5 over 2 symbols",
+        ),
+        (
+            lambda: brute_enumerate(5000, 1, 10),
+            GuardExceeded,
+            "sigma**n = <16610-bit int> exceeds the guard 10000000",
+        ),
+        (
+            lambda: count_universal(6, 10**5000, 2, build_table(6, 2, 2)),
+            InvalidK,
+            "table built for k=2, queried with k=<16610-bit int>",
+        ),
+    ],
+    ids=["rank", "symbol", "k", "empty-set", "guard", "table-mismatch"],
+)
+def test_errors_keep_their_type_past_the_int_str_digit_limit(call, error, message):
+    # under the interpreter's default limit str() of these ints raises a plain
+    # ValueError; the messages write their sign and bit length instead
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(error) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def _built_cells(n, k, sigma):
@@ -690,6 +746,23 @@ def test_empty_set_table_still_ranks_every_word():
     assert t.lookups == 0
 
 
+class _Range:
+    """A sequence over items that fails on any read outside [lo, hi)."""
+
+    def __init__(self, items, lo, hi):
+        self.items, self.lo, self.hi = items, lo, hi
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            assert i.step is None and self.lo <= i.start <= i.stop <= self.hi, i
+        else:
+            assert self.lo <= i < self.hi, i
+        return self.items[i]
+
+
 @pytest.mark.parametrize("sigma", [1, 2, 3, 8, 10, 16, 36, 37, 100])
 def test_free_suffix_conversions_match_per_position_loop(sigma):
     rng = random.Random(sigma)
@@ -706,20 +779,30 @@ def test_free_suffix_conversions_match_per_position_loop(sigma):
             assert value == x
             # powers from the table's power row, and from pow() with no table
             for power in (t.power, sigma.__pow__):
-                assert counting.free_suffix(x, length, sigma, power) == syms
-                assert counting.free_rank(syms, 0, sigma, power) == x
-                assert counting.free_rank([sigma, 1] + syms, 2, sigma, power) == x
+                out = [0] * length
+                counting.free_suffix(x, out, 0, length, sigma, power)
+                assert out == syms
+                assert counting.free_rank(syms, 0, length, sigma, power) == x
+                assert counting.free_rank([sigma, 1] + syms, 2, length + 2, sigma, power) == x
+                # a range of a sentinel-filled buffer, starting at lo = 3: the
+                # split writes only out[lo:hi], and the join reads only there
+                lo, hi = 3, 3 + length
+                out = [-1] * (hi + 2)
+                counting.free_suffix(x, out, lo, hi, sigma, power)
+                assert out == [-1] * lo + syms + [-1] * 2
+                assert counting.free_rank(_Range(out, lo, hi), lo, hi, sigma, power) == x
 
 
 def test_free_suffix_power_reads_are_counted():
     # longer than one C leaf, so the split and the join each read powers
     t = build_table(2999, 0, 10)
     before = t.lookups
-    syms = counting.free_suffix(10**2999 - 1, 2999, 10, t.power)
+    syms = [0] * 2999
+    counting.free_suffix(10**2999 - 1, syms, 0, 2999, 10, t.power)
     reads = t.lookups - before
     assert syms == [10] * 2999
     assert 0 < reads <= 2999 // 256
-    counting.free_rank(syms, 0, 10, t.power)
+    counting.free_rank(syms, 0, 2999, 10, t.power)
     assert t.lookups - before == 2 * reads
 
 
@@ -730,7 +813,7 @@ def test_free_suffix_power_reads_are_counted():
 def test_free_suffix_rejects_rank_beyond_its_length(sigma, length):
     t = build_table(length, 0, sigma)
     with pytest.raises(AssertionError):
-        counting.free_suffix(sigma**length, length, sigma, t.power)
+        counting.free_suffix(sigma**length, [0] * length, 0, length, sigma, t.power)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
@@ -742,9 +825,10 @@ def test_free_suffix_converts_no_more_than_a_leaf_to_text():
     t = build_table(n, 0, 10)
     x = random.Random(5).randrange(10**n)
     limit = sys.get_int_max_str_digits()
+    syms = [0] * n
     sys.set_int_max_str_digits(640)
     try:
-        syms = counting.free_suffix(x, n, 10, t.power)
+        counting.free_suffix(x, syms, 0, n, 10, t.power)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert counting.free_rank(syms, 0, 10, t.power) == x
+    assert counting.free_rank(syms, 0, n, 10, t.power) == x

@@ -114,7 +114,7 @@ def _rank_by_products(w, k, table):
     for i in range(n):
         if not d:
             before = table.lookups
-            total += counting.free_rank(syms, i, sigma, table.power)
+            total += counting.free_rank(syms, i, n, sigma, table.power)
             reads += table.lookups - before
             table.lookups = before
             break

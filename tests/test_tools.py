@@ -1,10 +1,19 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load("code_lines")
+cli_outputs = _load("cli_outputs")
 
 _MODULE = '''"""A module docstring
 over two lines."""
@@ -52,4 +61,18 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
         "    11  a.py",
         "     3  b.py",
         "    14  total",
+    ]
+
+
+def test_cli_outputs_prints_exit_code_digests_and_command():
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    count = ["count", "--n", "4", "--k", "2", "--sigma", "2"]
+    refused = ["unrank", "--n", "4", "--k", "2", "--sigma", "2", "7"]
+    lines = [cli_outputs.run(_ROOT, args)[0] for args in (count, refused)]
+    out, error = b"4\n", b"RankOutOfRange: rank 7 out of range (set size 4)\n"
+    assert lines == [
+        f"0 {sha(out)} {sha(b'')} count --n 4 --k 2 --sigma 2",
+        f"2 {sha(b'')} {sha(error)} unrank --n 4 --k 2 --sigma 2 7",
     ]

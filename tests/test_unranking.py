@@ -377,7 +377,7 @@ def test_first_symbol_changes_at_each_block_boundary(n, k, sigma):
             assert w.symbols[0] == first
             assert rank(w, k, t) == RankResult(r, True)
     with pytest.raises(AssertionError):
-        _descend(t, [0] * n, total, [])
+        _descend(t, [0] * n, total, [(0, 0)] * (n + 1))
 
 
 def _reference_states(symbols, k, sigma):
@@ -400,13 +400,15 @@ def test_descend_states_hold_exactly_the_prefix(n, k, sigma):
     total = count_universal(n, k, sigma, t)
     rng = random.Random(n * k + sigma)
     for r in (0, total - 1, rng.randrange(total), rng.randrange(total)):
+        # the buffers _stream allocates: _descend writes states[:free] alone
         syms = [0] * n
-        states = []
+        states = [(0, 0)] * (n + 1)
         _descend(t, syms, r, states)
         reference = _reference_states(syms, k, sigma)
         free = next(i for i, (d, _) in enumerate(reference) if d == 0)
-        assert states == reference[:free]
-        assert all(d for d, _ in states)  # the k-th arch closes at free
+        assert states[:free] == reference[:free]
+        assert all(d for d, _ in states[:free])  # the k-th arch closes at free
+        assert set(states[free:]) == {(0, 0)}
         assert tuple(syms) == unrank(r, n, k, sigma, t).symbols
 
 
