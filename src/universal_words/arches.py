@@ -45,19 +45,17 @@ def arch_factorize(w: Word) -> ArchFactorization:
     n = len(w.symbols)
     starts: list[int] = []
     seen: set[int] = set()  # the symbols of the open arch
-    start = n + 1  # where the open arch starts; n + 1 while it is empty
     for i, s in enumerate(w.symbols, 1):
         if not seen:
-            start = i
+            start = i  # where the open arch starts
         seen.add(s)
         if len(seen) == sigma:
             starts.append(start)
             seen.clear()
-            start = n + 1
     return ArchFactorization(
         arch_starts=tuple(starts),
         arch_count=len(starts),
-        suffix_start=start,
+        suffix_start=start if seen else n + 1,
     )
 
 

@@ -280,12 +280,9 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return _COMMANDS[args.command][0](args)
-    except ParseError as err:
-        sys.stderr.write(f"{type(err).__name__}: {err}\n")
-        return 1
     except UniversalWordsError as err:
         sys.stderr.write(f"{type(err).__name__}: {err}\n")
-        return 2
+        return 1 if isinstance(err, ParseError) else 2
     except BrokenPipeError:
         return 0
 

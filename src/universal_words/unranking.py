@@ -170,7 +170,8 @@ def enumerate_words(
     and an empty slice builds no table.
     """
     if limit is not None and (type(limit) is not int or limit < 0):
-        raise ValueError(f"limit must be a nonnegative int, got {limit!r}")
+        shown = _int_text(limit) if type(limit) is int else repr(limit)
+        raise ValueError(f"limit must be a nonnegative int, got {shown}")
     total = count_universal(n, k, sigma, table)
     if type(from_rank) is not int or not 0 <= from_rank <= total:
         raise RankOutOfRange(from_rank, total)

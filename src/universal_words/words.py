@@ -6,7 +6,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from .counting import _check_params
-from .errors import ParseError, SymbolOutOfRange
+from .errors import ParseError, SymbolOutOfRange, _int_text
 
 
 class _Value:
@@ -32,7 +32,10 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={_int_text(v) if type(v) is int else repr(v)}"
+            for name, v in zip(self.__slots__, self._fields())
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -45,17 +48,14 @@ class _Value:
         return type(self), self._fields()
 
 
-_INT = {int}
-
-
 class Word(_Value):
     """An immutable word over {1, ..., sigma}: a tuple of 1-based integer symbols.
 
     Word(symbols, sigma) checks sigma and every symbol and stores the symbols
     as a tuple; make_word is the same constructor. A symbol must be an int
-    (not a bool or a float, even one equal to an int) in 1..sigma. Valid
-    symbols are checked in C: the set of their types, then the least and
-    greatest of their distinct values.
+    (not a bool or a float, even one equal to an int) in 1..sigma. One loop
+    checks the symbols in order and raises SymbolOutOfRange at the first bad
+    one.
     """
 
     __slots__ = ("symbols", "sigma")
@@ -63,14 +63,9 @@ class Word(_Value):
     def __init__(self, symbols: Iterable[int], sigma: int):
         _check_params(0, 0, sigma)
         symbols = tuple(symbols)
-        if symbols and not (
-            set(map(type, symbols)) == _INT
-            and 1 <= min(distinct := set(symbols))
-            and max(distinct) <= sigma
-        ):
-            for pos, s in enumerate(symbols, 1):
-                if type(s) is not int or not 1 <= s <= sigma:
-                    raise SymbolOutOfRange(pos, s)
+        for pos, s in enumerate(symbols, 1):
+            if type(s) is not int or not 1 <= s <= sigma:
+                raise SymbolOutOfRange(pos, s)
         _set_symbols(self, symbols)
         _set_sigma(self, sigma)
 
@@ -92,7 +87,7 @@ class Word(_Value):
         return format_word(self)
 
     def __repr__(self) -> str:
-        return f"Word({format_word(self)!r}, sigma={self.sigma})"
+        return f"Word({format_word(self)!r}, sigma={_int_text(self.sigma)})"
 
 
 _new = object.__new__
@@ -137,7 +132,12 @@ class _Tokens(dict):
 
     def __init__(self, sigma: int):
         self.sigma = sigma
-        self.width = len(str(sigma))
+        # the digits of sigma, counted without str(), which raises past the
+        # int/str digit limit: (bit length - 1) * log10(2) is at most one less
+        # than the count, and float rounding lifts it by at most one
+        self.width = int((sigma.bit_length() - 1) * 0.30102999566398120)
+        while 10**self.width <= sigma:
+            self.width += 1
 
     def __missing__(self, token: str) -> int:
         if token.isascii() and token.isdigit() and token[0] != "0" and len(token) <= self.width:
@@ -200,7 +200,7 @@ def parse_word(text: str, sigma: int) -> Word:
         if not (token.isascii() and token.isdigit()):
             raise ParseError(offset, f"expected a number, got {token!r}")
         if len(token) > width and len(token.lstrip("0")) > width:
-            raise ParseError(offset, f"{len(token)}-digit number exceeds sigma={sigma}")
+            raise ParseError(offset, f"{len(token)}-digit number exceeds sigma={_int_text(sigma)}")
         value = int(token)
         if not 1 <= value <= sigma:
             raise SymbolOutOfRange(len(symbols) + 1, value)

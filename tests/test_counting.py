@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from universal_words import (
     AlphabetMismatch,
+    ArchFactorization,
     EmptySet,
     GuardExceeded,
     InvalidK,
     LengthMismatch,
+    ParseError,
     RankOutOfRange,
     RankResult,
     SymbolOutOfRange,
@@ -339,6 +341,15 @@ def test_every_entry_point_checks_parameters_alike(call, error, message):
     assert str(info.value) == (message or _MESSAGES[error])
 
 
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
 @pytest.mark.parametrize(
     "call, error, message",
@@ -374,21 +385,53 @@ def test_every_entry_point_checks_parameters_alike(call, error, message):
             InvalidK,
             "table built for k=2, queried with k=<16610-bit int>",
         ),
+        (
+            lambda: parse_word("1,x", 10**5000),
+            ParseError,
+            "expected a number, got 'x' (position 3)",
+        ),
+        (
+            lambda: enumerate_words(5, 1, 2, limit=-(10**5000)),
+            ValueError,
+            "limit must be a nonnegative int, got <-16610-bit int>",
+        ),
     ],
-    ids=["rank", "symbol", "k", "empty-set", "guard", "table-mismatch"],
+    ids=["rank", "symbol", "k", "empty-set", "guard", "table-mismatch", "parse", "limit"],
 )
-def test_errors_keep_their_type_past_the_int_str_digit_limit(call, error, message):
+def test_errors_keep_their_type_past_the_int_str_digit_limit(
+    default_digit_limit, call, error, message
+):
     # under the interpreter's default limit str() of these ints raises a plain
-    # ValueError; the messages write their sign and bit length instead
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        with pytest.raises(error) as info:
-            call()
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # ValueError; the messages write their sign and bit length instead, and
+    # parse_word counts the digits of sigma without str()
+    with pytest.raises(error) as info:
+        call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str limit")
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: parse_word("1,2", 10**5000), make_word([1, 2], 10**5000)),
+        (lambda: repr(make_word([1, 2], 10**5000)), "Word('1,2', sigma=<16610-bit int>)"),
+        (
+            lambda: repr(RankResult(10**5000, True)),
+            "RankResult(rank=<16610-bit int>, member=True)",
+        ),
+        (
+            lambda: repr(ArchFactorization((1,), 1, 10**5000)),
+            "ArchFactorization(arch_starts=(1,), arch_count=1, suffix_start=<16610-bit int>)",
+        ),
+    ],
+    ids=["parse", "word-repr", "rank-result-repr", "arch-factorization-repr"],
+)
+def test_parse_and_reprs_hold_past_the_int_str_digit_limit(default_digit_limit, call, expected):
+    # as above, with results in place of errors
+    result = call()
+    assert type(result) is type(expected)
+    assert result == expected
 
 
 def _built_cells(n, k, sigma):
