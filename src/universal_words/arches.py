@@ -42,10 +42,10 @@ _set_suffix_start = ArchFactorization.suffix_start.__set__
 def arch_factorize(w: Word) -> ArchFactorization:
     """Factor w into greedy arches plus a residual suffix."""
     sigma = w.sigma
-    n = len(w.symbols)
+    n = len(w)
     starts: list[int] = []
     seen: set[int] = set()  # the symbols of the open arch
-    for i, s in enumerate(w.symbols, 1):
+    for i, s in enumerate(w._symbols, 1):
         if not seen:
             start = i  # where the open arch starts
         seen.add(s)
@@ -61,5 +61,5 @@ def arch_factorize(w: Word) -> ArchFactorization:
 
 def is_k_universal(w: Word, k: int) -> bool:
     """Whether every length-k word over the alphabet is a subsequence of w."""
-    _check_params(len(w.symbols), k, w.sigma)
+    _check_params(len(w), k, w.sigma)
     return k == 0 or arch_factorize(w).arch_count >= k

@@ -18,7 +18,7 @@ from .counting import build_table, count_universal
 from .errors import ParseError, UniversalWordsError
 from .ranking import RankResult, rank
 from .unranking import enumerate_words, unrank
-from .words import format_word, make_word, parse_word
+from .words import Word, format_word, make_word, parse_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,11 +159,12 @@ def _successor(text: str) -> str:
 def _cmd_arch(args) -> int:
     word = parse_word(args.word, args.sigma)
     fact = arch_factorize(word)
+    # slices of the stored symbols are in their storage form already
+    syms = word._symbols
     pieces = [
-        format_word(make_word(word.symbols[s - 1 : e], args.sigma))
-        for s, e in fact.arch_bounds()
+        format_word(Word._trusted(syms[s - 1 : e], args.sigma)) for s, e in fact.arch_bounds()
     ]
-    suffix = format_word(make_word(word.symbols[fact.suffix_start - 1 :], args.sigma))
+    suffix = format_word(Word._trusted(syms[fact.suffix_start - 1 :], args.sigma))
     if suffix:
         pieces.append(suffix)
     sep = "," if args.sigma <= 9 else "|"

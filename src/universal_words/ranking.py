@@ -64,7 +64,7 @@ def rank(w: Word, k: int, table: SuffixCountTable) -> RankResult:
     that meets slack 0. The rank is the free suffix's rank plus
     sum(c * S_c), taken once as the sum of the suffix sums of S.
     table.lookups counts each read once."""
-    syms = w.symbols
+    syms = w._symbols
     n = len(syms)
     sigma = w.sigma
     _check_params(n, k, sigma, table)

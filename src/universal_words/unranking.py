@@ -6,11 +6,11 @@ from collections.abc import Iterator
 
 from .counting import SuffixCountTable, build_table, count_universal, free_suffix
 from .errors import EmptySet, RankOutOfRange, _int_text
-from .words import Word
+from .words import Word, _storage
 
 
 def _descend(
-    table: SuffixCountTable, syms: list[int], rem: int, states: list[tuple[int, int]]
+    table: SuffixCountTable, syms: bytearray | list[int], rem: int, states: list[tuple[int, int]]
 ) -> None:
     """Write into syms[0:n] the k-universal word of rank rem, and into
     states[j] the arch state (symbols still owed, open-arch bitset) before
@@ -119,12 +119,17 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
     scan for p sets each position it passes to 1, so only where p lies in
     the arches is anything refilled, and the refill resets the states where
     the old arches ran on.
+
+    syms is the buffer that words._storage gives for sigma: a bytearray for
+    sigma <= 255 and a list above, so each word is one C copy of it into its
+    storage, bytes or a tuple.
     """
     n, sigma = table.n, table.sigma
-    syms = [0] * n
+    frozen, zeros = _storage(sigma)
+    syms = zeros(n)
     states = [(0, 0)] * (n + 1)
     _descend(table, syms, r, states)
-    yield Word._trusted(tuple(syms), sigma)
+    yield Word._trusted(frozen(syms), sigma)
     for _ in range(r + 1, stop):
         for p in range(n - 1, -1, -1):
             if syms[p] < sigma:  # tested first: a run of sigmas reads no state
@@ -150,7 +155,7 @@ def _stream(table: SuffixCountTable, r: int, stop: int) -> Iterator[Word]:
                     x = syms[j] = 1 if n - j > d else (~low & low + 1).bit_length() - 1
                     j += 1
             states[j + 1:] = [(0, 0)] * (n - j)  # where the old arches ran on
-        yield Word._trusted(tuple(syms), sigma)
+        yield Word._trusted(frozen(syms), sigma)
 
 
 def enumerate_words(

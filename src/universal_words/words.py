@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
 from .counting import _check_params
@@ -48,17 +48,32 @@ class _Value:
         return type(self), self._fields()
 
 
-class Word(_Value):
-    """An immutable word over {1, ..., sigma}: a tuple of 1-based integer symbols.
+def _storage(sigma: int) -> tuple[type, Callable[[int], bytearray | list[int]]]:
+    """The type a Word over 1..sigma stores its symbols in, and the maker of
+    the zeroed n-symbol buffer a cursor builds them in: bytes and bytearray
+    when every symbol fits in a byte (sigma <= 255), else tuple and a list."""
+    return (bytes, bytearray) if sigma <= 255 else (tuple, _zeros)
 
-    Word(symbols, sigma) checks sigma and every symbol and stores the symbols
-    as a tuple; make_word is the same constructor. A symbol must be an int
-    (not a bool or a float, even one equal to an int) in 1..sigma. One loop
-    checks the symbols in order and raises SymbolOutOfRange at the first bad
-    one.
+
+def _zeros(n: int) -> list[int]:
+    return [0] * n
+
+
+class Word(_Value):
+    """An immutable word over {1, ..., sigma}: a sequence of 1-based integer symbols.
+
+    Word(symbols, sigma) checks sigma and every symbol and stores the symbols;
+    make_word is the same constructor. A symbol must be an int (not a bool or
+    a float, even one equal to an int) in 1..sigma. One loop checks the
+    symbols in order and raises SymbolOutOfRange at the first bad one.
+
+    The symbols are stored as bytes when sigma <= 255 and as a tuple above
+    (_storage), so a cursor freezes its buffer with one C copy. Equality,
+    hashing and pickling use the stored value. The public .symbols is a
+    tuple built from it on each read; the package's own code never reads it.
     """
 
-    __slots__ = ("symbols", "sigma")
+    __slots__ = ("_symbols", "sigma")
 
     def __init__(self, symbols: Iterable[int], sigma: int):
         _check_params(0, 0, sigma)
@@ -66,22 +81,28 @@ class Word(_Value):
         for pos, s in enumerate(symbols, 1):
             if type(s) is not int or not 1 <= s <= sigma:
                 raise SymbolOutOfRange(pos, s)
-        _set_symbols(self, symbols)
+        _set_symbols(self, _storage(sigma)[0](symbols))
         _set_sigma(self, sigma)
 
     @classmethod
-    def _trusted(cls, symbols: tuple[int, ...], sigma: int) -> "Word":
-        """A word whose symbols are in range by construction: skips the O(n) check."""
+    def _trusted(cls, symbols: bytes | tuple[int, ...], sigma: int) -> "Word":
+        """A word whose symbols are in range by construction and already in
+        the storage form of sigma (_storage): skips the O(n) check and copy."""
         w = _new(cls)
         _set_symbols(w, symbols)
         _set_sigma(w, sigma)
         return w
 
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The symbols as a tuple of ints, a new one on each read."""
+        return tuple(self._symbols)
+
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._symbols)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.symbols)
+        return iter(self._symbols)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -91,7 +112,7 @@ class Word(_Value):
 
 
 _new = object.__new__
-_set_symbols = Word.symbols.__set__
+_set_symbols = Word._symbols.__set__
 _set_sigma = Word.sigma.__set__
 
 make_word = Word
@@ -119,8 +140,8 @@ _texts = _Texts()
 def format_word(w: Word) -> str:
     """Canonical text: concatenated digits (sigma <= 9) or comma-separated numbers."""
     if w.sigma <= 9:
-        return bytes(w.symbols).translate(_DIGITS).decode()
-    return ",".join(map(_texts.__getitem__, w.symbols))
+        return w._symbols.translate(_DIGITS).decode()
+    return ",".join(map(_texts.__getitem__, w._symbols))
 
 
 class _Tokens(dict):
@@ -177,7 +198,7 @@ def parse_word(text: str, sigma: int) -> Word:
         if text.isascii():
             data = text.encode()
             if not data.translate(None, b"123456789"[:sigma]):
-                return Word._trusted(tuple(data.translate(_FROM_DIGITS)), sigma)
+                return Word._trusted(data.translate(_FROM_DIGITS), sigma)
         for pos, ch in enumerate(text, 1):
             value = ord(ch) - 48  # "0".."9" -> 0..9; every other character falls outside
             if not 1 <= value <= sigma:
@@ -185,12 +206,13 @@ def parse_word(text: str, sigma: int) -> Word:
                     raise ParseError(pos, f"expected a digit, got {ch!r}")
                 raise SymbolOutOfRange(pos, value)
         raise AssertionError("no bad character in text the fast path refused")
+    frozen = _storage(sigma)[0]
     if text == "":
-        return Word._trusted((), sigma)
+        return Word._trusted(frozen(), sigma)
     tokens = text.split(",")
     table = _tokens(sigma)
     try:
-        return Word._trusted(tuple(map(table.__getitem__, tokens)), sigma)
+        return Word._trusted(frozen(map(table.__getitem__, tokens)), sigma)
     except KeyError:
         pass
     width = table.width
@@ -206,4 +228,4 @@ def parse_word(text: str, sigma: int) -> Word:
             raise SymbolOutOfRange(len(symbols) + 1, value)
         symbols.append(value)
         offset += len(token) + 1
-    return Word._trusted(tuple(symbols), sigma)
+    return Word._trusted(frozen(symbols), sigma)

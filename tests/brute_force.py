@@ -25,17 +25,19 @@ def brute_is_k_universal(w: Word, k: int) -> bool:
     sigma = w.sigma
     if sigma**k > CHECK_GUARD:
         raise GuardExceeded(f"sigma**k = {sigma**k} exceeds the guard {CHECK_GUARD}")
-    n = len(w.symbols)
-    rows = _occurrence_rows(w.symbols, sigma, n)
+    symbols = w.symbols  # a new tuple on each read
+    n = len(symbols)
+    rows = _occurrence_rows(symbols, sigma, n)
     return _every_pattern_embeds(rows, n, sigma, k)
 
 
 def brute_index(w: Word) -> int:
     """Largest k passing brute_is_k_universal."""
     sigma = w.sigma
-    n = len(w.symbols)
+    symbols = w.symbols
+    n = len(symbols)
     cap = n // sigma  # every symbol must occur k times, so k <= n / sigma
-    rows = _occurrence_rows(w.symbols, sigma, n)
+    rows = _occurrence_rows(symbols, sigma, n)
     k = 0
     while k < cap:
         if sigma ** (k + 1) > CHECK_GUARD:

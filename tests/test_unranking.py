@@ -23,6 +23,7 @@ from universal_words import (
 from universal_words import counting, unranking
 from universal_words.oracle import brute_enumerate
 from universal_words.unranking import _descend
+from universal_words.words import _storage
 
 
 def test_spot_unranks():
@@ -401,7 +402,7 @@ def test_descend_states_hold_exactly_the_prefix(n, k, sigma):
     rng = random.Random(n * k + sigma)
     for r in (0, total - 1, rng.randrange(total), rng.randrange(total)):
         # the buffers _stream allocates: _descend writes states[:free] alone
-        syms = [0] * n
+        syms = _storage(sigma)[1](n)
         states = [(0, 0)] * (n + 1)
         _descend(t, syms, r, states)
         reference = _reference_states(syms, k, sigma)

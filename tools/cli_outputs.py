@@ -13,12 +13,13 @@ lines gave the same bytes for the same commands. Compare two checkouts with
 
 The corpus: every --help; usage errors (exit 1); refused ranks, an empty set,
 a symbol out of range and the oracle's guard (exit 2); at (4, 2, 2),
-(300, 10, 4), (120, 3, 12), (1000, 450, 2) and (2000, 20, 10), every
-subcommand but verify, as text and with --json: count, unrank of the first,
-the last and a random rank, rank of that random member, of 1...1 and of a
-random word, enum slices of 20 at both ends, arch and closed-forms; verify at
-small shapes; and one count of 20,000 digits, which is printed through
-Decimal.
+(300, 10, 4), (120, 3, 12), (1000, 450, 2), (2000, 20, 10), and at
+(300, 1, 255) and (300, 1, 256), either side of the largest alphabet whose
+words are stored as bytes, every subcommand but verify, as text and with
+--json: count, unrank of the first, the last and a random rank, rank of that
+random member, of 1...1 and of a random word, enum slices of 20 at both ends,
+arch and closed-forms; verify at small shapes; and one count of 20,000
+digits, which is printed through Decimal.
 """
 
 import hashlib
@@ -29,7 +30,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SHAPES = [(4, 2, 2), (300, 10, 4), (120, 3, 12), (1000, 450, 2), (2000, 20, 10)]
+SHAPES = [
+    (4, 2, 2), (300, 10, 4), (120, 3, 12), (1000, 450, 2), (2000, 20, 10),
+    (300, 1, 255), (300, 1, 256),
+]
 VERIFY_SHAPES = [(4, 2, 2), (6, 2, 2), (7, 1, 3), (4, 4, 1), (8, 2, 3)]
 SLICE = 20
 
